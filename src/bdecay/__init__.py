@@ -3,7 +3,8 @@
 Tri-diagonal birth-death chains (generators or stochastic matrices) carry a
 characteristic-coefficient structure that yields the second-largest
 eigenvalue -- the decay parameter -- through Lagrange series, analytic
-bounds, and index-selected Sturm bisection at arbitrary precision.  The
+bounds, and a shifted Perron iteration on the birth-death Green's function at
+arbitrary precision (Sturm bisection in `oracle` referees it).  The
 package specializes the machinery to SIS epidemics on the complete graph,
 where the decay parameter governs extinction and the mean extinction time
 has several independent closed forms.

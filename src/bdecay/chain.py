@@ -158,7 +158,7 @@ class SymTridiag:
 
     offdiag_sq and h_sq are exact when the ladder is; offdiag and h are their
     square roots at float precision (use offdiag_sq for precision-critical
-    work such as Sturm counts).
+    work such as the Sturm counts of the oracle referee).
     """
 
     diag: tuple

@@ -62,8 +62,8 @@ def _json_value(value, exact: bool = False):
     if exact:
         return _fmt(value, exact=True)
     f = to_float(value)
-    if not math.isfinite(f) or (f == 0.0 and value != 0):
-        return _fmt(value)  # keep tiny/huge values as decimal strings
+    if not math.isfinite(f) or (abs(f) < sys.float_info.min and value != 0):
+        return _fmt(value)  # keep subnormal, underflowing and huge values as decimal strings
     return float(f"{f:.17g}")
 
 

@@ -1,15 +1,19 @@
 """Decay parameter: Lagrange approximations, analytic bounds, exact eigenvalue.
 
-The exact value comes from Sturm-sequence bisection on the symmetrized
-tri-diagonal matrix.  Sign counts use the pivot recursion
+The exact value is -lambda_1, the smallest eigenvalue of an M-matrix M whose
+inverse is the birth-death Green's function (a positive matrix):
 
-    d_0 = a_0 - x,   d_i = (a_i - x) - p_{i-1} q_i / d_{i-1},
+* a restricted sub-generator gives M = -Q_S;
+* an irreducible ladder gives its Siegmund dual, a killed birth-death chain
+  one state shorter whose spectrum is the nonzero spectrum of -Q.
 
-where the off-diagonal enters only through the exact products p_{i-1} q_i,
-so no square roots are taken.  The number of negative pivots equals the
-number of eigenvalues below x, which lets us select the target eigenvalue by
-index: essential because the decay parameter can cluster exponentially close
-to the zero eigenvalue.
+One kernel serves both: shifted inverse (Perron) iteration.  Each step
+solves (M - sI) y = v by tri-diagonal elimination in row-sum (GTH) form,
+subtraction-free at s = 0, and the Collatz-Wielandt ratios v/y bracket
+lambda_1 - s for any positive v.  Shifting below the certified lower bound
+keeps M - sI an M-matrix, so lambda_1 stays resolved when it is
+exponentially close to 0.  Sturm bisection, its independent referee, lives
+in `oracle`.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ FLOAT = "float"
 class PrecisionCtx:
     """Working-precision context: exact rationals or mpmath floats.
 
-    In float mode all Sturm pivots are mpf numbers with `mantissa_bits` of
-    mantissa; in rational-exact mode they are Fractions and counts are exact
-    (practical only for small ladders: pivot bit-size grows with the state
-    count).
+    In float mode all pivots are mpf numbers with `mantissa_bits` of
+    mantissa; in rational-exact mode they are Fractions and the brackets are
+    exact (practical only for small ladders: pivot bit-size grows with the
+    state count).
     """
 
     mode: str = FLOAT
@@ -140,72 +144,135 @@ def newton_bound(coeffs: CharCoeffs, mantissa_bits: int = 128):
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# Perron kernel
 # ---------------------------------------------------------------------------
 
 
-def _sturm_arrays(ladder: RateLadder, ctx: PrecisionCtx):
-    """(diag, offdiag^2) of the shifted working matrix, in ctx arithmetic.
+def _m_matrix_rates(ladder: RateLadder):
+    """(down, up) rates of the M-matrix whose smallest eigenvalue is -zeta.
 
-    Must be called inside mp.workprec(ctx.mantissa_bits) in float mode.
+    Row i of M has diagonal down_i + up_i, with -down_i left of it and -up_i
+    right of it; down_0 and up_{m-1} have no neighbour to reach and act as
+    killing.  A restricted sub-generator gives M = -Q_S (killing loss0 at
+    state 0).  An irreducible ladder on 0..N gives its Siegmund dual on
+    0..N-1: up-rate q_{j+1}, down-rate p_j, so killing p_0 at 0 and q_N at
+    N-1; its spectrum is the nonzero spectrum of -Q.
     """
-    n = ladder.n_states
-    diag = [ladder.diag_entry(j) for j in range(n)]
-    offsq = list(ladder.offdiag_sq())
-    if ctx.mode == RATIONAL_EXACT:
-        return [Fraction(d) for d in diag], [Fraction(s) for s in offsq]
-    return [to_mpf(d) for d in diag], [to_mpf(s) for s in offsq]
+    if ladder.is_subgenerator:
+        return (ladder.loss0,) + ladder.down, ladder.up + (0 * ladder.loss0,)
+    return ladder.up, ladder.down
 
 
-def sturm_count_below(diag, offsq, x, tiny):
-    """Number of eigenvalues strictly below x (zero pivots nudged negative)."""
-    count = 0
-    d = diag[0] - x
-    if d == 0:
-        d = -tiny
-    if d < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = (diag[i] - x) - offsq[i - 1] / d
-        if d == 0:
-            d = -tiny
-        if d < 0:
-            count += 1
-    return count
+def _dyadic_floor(q: Fraction, bits: int) -> Fraction:
+    """Largest Fraction with about `bits` significant bits that is <= q."""
+    shift = bits - q.numerator.bit_length() + q.denominator.bit_length()
+    if shift >= 0:
+        return Fraction((q.numerator << shift) // q.denominator, 1 << shift)
+    return Fraction((q.numerator // (q.denominator << -shift)) << -shift)
 
 
-def _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny):
-    """k-th smallest eigenvalue (1-indexed), given count(lo) < k <= count(hi)."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if sturm_count_below(diag, offsq, mid, tiny) >= k:
-            hi = mid
+def _shifted_solve(down, up, s, v):
+    """y = (M - sI)^-1 v by tridiagonal elimination in row-sum (GTH) form.
+
+    r_i = (killing_i - s) + w_i r_{i-1} with w_i = down_i / d_{i-1} is the
+    row sum left after eliminating rows < i, d_i = r_i + up_i the pivot.  At
+    s = 0 every term is positive.  Returns None when a pivot is not
+    positive: M - sI is then no nonsingular M-matrix.
+    """
+    pivots, sums = [], []
+    r = d = 1  # a virtual row before 0 makes w_0 = down_0 the killing rate
+    g = 0
+    for l, u, vi in zip(down, up, v):
+        w = l / d
+        r = w * r - s
+        d = r + u
+        if d <= 0:
+            return None
+        g = vi + w * g
+        pivots.append(d)
+        sums.append(g)
+    y = [None] * len(v)
+    acc = 0
+    for i in range(len(v) - 1, -1, -1):
+        acc = (sums[i] + up[i] * acc) / pivots[i]
+        y[i] = acc
+    return y
+
+
+_STALL_LIMIT = 16
+
+
+def _perron_bracket(down, up, tol, settle):
+    """Bracket [lo, hi] of the smallest eigenvalue of one irreducible block.
+
+    Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
+    Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]; the
+    shift then moves below the certified lower bound, to lo - (hi - lo) or,
+    while the bracket is wider than 2^-16 (lo - s), to lo - 2^-16 (lo - s).  A
+    shift that overshoots in rounding shows up as a non-positive pivot and is
+    backed off to the last one that factorised.  `settle` shortens v and the
+    shift (any positive v keeps the bracket valid).  Returns None when the
+    block is singular (a closed class with no exit).
+    """
+    v = [1] * len(down)
+    shift = trial = 0 * down[0]
+    best, stalls = None, 0
+    while True:
+        y = _shifted_solve(down, up, trial, v)
+        if y is None:
+            if trial == shift:  # only possible at s = 0
+                return None
+            trial = shift
+            continue
+        shift = trial
+        ratios = [a / b for a, b in zip(v, y)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol:
+            return shift + lo, shift + hi
+        if best is None or hi - lo < best:
+            best, stalls = hi - lo, 0
         else:
-            lo = mid
-    return (lo + hi) / 2
+            stalls += 1
+            if stalls > _STALL_LIMIT:
+                raise PrecisionExhaustedError(
+                    "Perron bracket stopped shrinking above tol; raise the precision"
+                )
+        # while the bracket is wide, stop 2^-16 of the way short of lo
+        trial = max(shift, settle(shift + lo - min(hi - lo, lo / 65536)))
+        v = [settle(b) for b in y]
 
 
-def _eig_by_index(diag, offsq, k, tol, tiny):
-    """k-th smallest eigenvalue; bracket from Gershgorin discs, hi = 0."""
-    scale = max(abs(d) for d in diag) + max(offsq, default=0)
-    lo = -4 * scale - 1
-    while sturm_count_below(diag, offsq, lo, tiny) > 0:
-        lo *= 2
-    hi = lo * 0  # typed zero
-    return _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny)
+def _smallest_eigenvalue(down, up, tol, settle):
+    """Bracket of the smallest eigenvalue of M, or None when M is singular.
+
+    A zero coupling product down_i up_{i-1} makes M block-triangular; the
+    rate across the cut is killing for its block, and the smallest
+    eigenvalue is the least over the irreducible blocks.
+    """
+    m = len(down)
+    cuts = [0] + [i for i in range(1, m) if down[i] * up[i - 1] == 0] + [m]
+    brackets = []
+    for a, b in zip(cuts, cuts[1:]):
+        bracket = _perron_bracket(down[a:b], up[a:b], tol, settle)
+        if bracket is None:
+            return None
+        brackets.append(bracket)
+    return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 
 def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
-    """Decay parameter by index-selected Sturm bisection.
+    """Decay parameter by shifted Perron iteration on the M-matrix -Q.
 
     Irreducible ladder: second-largest eigenvalue (the largest is exactly 0
-    for a generator / shift of 1 for a stochastic matrix).  Restricted
-    sub-generator: largest eigenvalue.  Result is bracketed to width <= tol
-    (default 2^-(mantissa_bits/2)).
+    for a generator / shift of 1 for a stochastic matrix), through the
+    Siegmund dual.  Restricted sub-generator: largest eigenvalue.  The
+    Collatz-Wielandt bracket is closed to width <= tol (default
+    2^-(mantissa_bits/2)) and its midpoint returned.
 
     Raises PrecisionExhaustedError when the located value is within the
     round-off floor of 0, i.e. the working precision cannot separate the
-    decay parameter from the trivial eigenvalue.
+    decay parameter from the trivial eigenvalue, and also when M is singular
+    (a transient class with no exit).
     """
     ctx = ctx or PrecisionCtx()
     if ladder.reducible and not ladder.is_subgenerator:
@@ -215,16 +282,22 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
     n = ladder.n_states
-    k = n if ladder.is_subgenerator else n - 1
-    if k == 0:  # 1-state irreducible generator: only the zero eigenvalue
+    if n == 1 and not ladder.is_subgenerator:  # only the zero eigenvalue
         raise ReducibleChainError("a single-state chain has no decay parameter")
+    down, up = _m_matrix_rates(ladder)
+    diag = [ladder.diag_entry(j) for j in range(n)]
 
     if ctx.mode == RATIONAL_EXACT:
-        diag, offsq = _sturm_arrays(ladder, ctx)
+        bits = ctx.mantissa_bits
         tol_r = Fraction(tol) if tol is not None else ctx.default_tol
-        tiny = Fraction(1, 2 ** (2 * ctx.mantissa_bits))
-        zeta = _eig_by_index(diag, offsq, k, tol_r, tiny)
-        floor = max(abs(d) for d in diag) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
+        bracket = _smallest_eigenvalue(
+            [Fraction(r) for r in down],
+            [Fraction(r) for r in up],
+            tol_r,
+            lambda q: _dyadic_floor(q, bits),
+        )
+        zeta = -(bracket[0] + bracket[1]) / 2 if bracket else Fraction(0)
+        floor = max(abs(Fraction(d)) for d in diag) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
         if abs(zeta) <= max(floor, tol_r):
             raise PrecisionExhaustedError(
                 "decay parameter not separable from 0 at this tolerance"
@@ -232,11 +305,12 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
         return zeta
 
     with mp.workprec(ctx.mantissa_bits):
-        diag, offsq = _sturm_arrays(ladder, ctx)
         tol_m = to_mpf(tol) if tol is not None else to_mpf(ctx.default_tol)
-        tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
-        zeta = _eig_by_index(diag, offsq, k, tol_m, tiny)
-        scale = max(abs(d) for d in diag)
+        bracket = _smallest_eigenvalue(
+            [to_mpf(r) for r in down], [to_mpf(r) for r in up], tol_m, lambda q: q
+        )
+        zeta = -(bracket[0] + bracket[1]) / 2 if bracket else mp.zero
+        scale = max(abs(to_mpf(d)) for d in diag)
         floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
         if abs(zeta) <= max(floor, tol_m):
             raise PrecisionExhaustedError(

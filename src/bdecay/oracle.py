@@ -1,5 +1,6 @@
-"""Independent ground-truth generators: full spectrum, hitting times,
-transient-decay fits, and event-driven stochastic simulation.
+"""Independent ground-truth generators: Sturm bisection for the decay
+parameter, full spectrum, hitting times, transient-decay fits, and
+event-driven stochastic simulation.
 
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
@@ -17,15 +18,132 @@ from mpmath import mp
 
 from ._numbers import to_float, to_mpf
 from .chain import GENERATOR, RateLadder, steady_state
-from .decay import PrecisionCtx, _bisect_eigenvalue, _sturm_arrays, sturm_count_below
+from .decay import RATIONAL_EXACT, PrecisionCtx
 from .errors import (
     InvalidParameterError,
     PrecisionExhaustedError,
+    ReducibleChainError,
     UnsupportedStructureError,
 )
 from .sis import EpsSisParams
 
 DENSE_LIMIT = 64
+
+# ---------------------------------------------------------------------------
+# Sturm bisection: the referee of the production Perron kernel
+# ---------------------------------------------------------------------------
+
+
+def _sturm_arrays(ladder: RateLadder, ctx: PrecisionCtx):
+    """(diag, offdiag^2) of the shifted working matrix, in ctx arithmetic.
+
+    Sums and products are formed exactly, or at working precision for float
+    rates (never rounded to double first).  Must be called inside
+    mp.workprec(ctx.mantissa_bits) in float mode.
+    """
+    num = Fraction if ctx.mode == RATIONAL_EXACT or ladder.exact else to_mpf
+    up = [num(p) for p in ladder.up] + [num(0)]
+    down = [num(0)] + [num(q) for q in ladder.down]
+    diag = [-(p + q) for p, q in zip(up, down)]
+    diag[0] -= num(ladder.loss0)
+    offsq = [up[j - 1] * down[j] for j in range(1, ladder.n_states)]
+    if ctx.mode == RATIONAL_EXACT:
+        return diag, offsq
+    return [to_mpf(d) for d in diag], [to_mpf(s) for s in offsq]
+
+
+def sturm_count_below(diag, offsq, x, tiny):
+    """Number of eigenvalues strictly below x (zero pivots nudged negative).
+
+    Pivot recursion d_0 = a_0 - x, d_i = (a_i - x) - p_{i-1} q_i / d_{i-1}
+    on the symmetrized matrix: the off-diagonal enters only through the
+    exact products p_{i-1} q_i, so no square roots are taken.
+    """
+    count = 0
+    d = diag[0] - x
+    if d == 0:
+        d = -tiny
+    if d < 0:
+        count += 1
+    for i in range(1, len(diag)):
+        d = (diag[i] - x) - offsq[i - 1] / d
+        if d == 0:
+            d = -tiny
+        if d < 0:
+            count += 1
+    return count
+
+
+def _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny):
+    """k-th smallest eigenvalue (1-indexed), given count(lo) < k <= count(hi)."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if sturm_count_below(diag, offsq, mid, tiny) >= k:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _eig_by_index(diag, offsq, k, tol, tiny):
+    """k-th smallest eigenvalue; bracket from Gershgorin discs, hi = 0."""
+    scale = max(abs(d) for d in diag) + max(offsq, default=0)
+    lo = -4 * scale - 1
+    while sturm_count_below(diag, offsq, lo, tiny) > 0:
+        lo *= 2
+    hi = lo * 0  # typed zero
+    return _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny)
+
+
+def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
+    """Decay parameter by index-selected Sturm bisection (referee route).
+
+    Same contract as `decay.exact_zeta`.  Irreducible ladder: second-largest
+    eigenvalue; restricted sub-generator: largest eigenvalue, selected by
+    index, which stays correct when the decay parameter clusters
+    exponentially close to the zero eigenvalue.  Bracketed to width <= tol
+    (default 2^-(mantissa_bits/2)) at about (mantissa_bits/2) O(n) sweeps.
+
+    Raises PrecisionExhaustedError when the located value is within the
+    round-off floor of 0.
+    """
+    ctx = ctx or PrecisionCtx()
+    if ladder.reducible and not ladder.is_subgenerator:
+        raise ReducibleChainError(
+            "exact_zeta needs an irreducible ladder or a restricted sub-generator"
+        )
+    if tol is not None and tol <= 0:
+        raise ValueError("tol must be positive")
+    n = ladder.n_states
+    k = n if ladder.is_subgenerator else n - 1
+    if k == 0:  # 1-state irreducible generator: only the zero eigenvalue
+        raise ReducibleChainError("a single-state chain has no decay parameter")
+
+    if ctx.mode == RATIONAL_EXACT:
+        diag, offsq = _sturm_arrays(ladder, ctx)
+        tol_r = Fraction(tol) if tol is not None else ctx.default_tol
+        tiny = Fraction(1, 2 ** (2 * ctx.mantissa_bits))
+        zeta = _eig_by_index(diag, offsq, k, tol_r, tiny)
+        floor = max(abs(d) for d in diag) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
+        if abs(zeta) <= max(floor, tol_r):
+            raise PrecisionExhaustedError(
+                "decay parameter not separable from 0 at this tolerance"
+            )
+        return zeta
+
+    with mp.workprec(ctx.mantissa_bits):
+        diag, offsq = _sturm_arrays(ladder, ctx)
+        tol_m = to_mpf(tol) if tol is not None else to_mpf(ctx.default_tol)
+        tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
+        zeta = _eig_by_index(diag, offsq, k, tol_m, tiny)
+        scale = max(abs(d) for d in diag)
+        floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
+        if abs(zeta) <= max(floor, tol_m):
+            raise PrecisionExhaustedError(
+                f"|zeta| <= resolution floor {mp.nstr(max(floor, tol_m), 5)} "
+                f"at {ctx.mantissa_bits} bits; raise the precision"
+            )
+        return +zeta
 
 RNG_METADATA = {
     "algorithm": "numpy.random.Philox (Philox 4x64 counter-based)",
@@ -48,7 +166,7 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
         raise InvalidParameterError(f"dense spectrum is limited to N <= {DENSE_LIMIT}")
     with mp.workprec(ctx.mantissa_bits):
         diag, offsq = _sturm_arrays(ladder, ctx)
-        if ctx.mode == "rational-exact":
+        if ctx.mode == RATIONAL_EXACT:
             tiny = Fraction(1, 2 ** (2 * ctx.mantissa_bits))
             tol_v = Fraction(tol) if tol is not None else ctx.default_tol
         else:
@@ -71,8 +189,9 @@ def hitting_time_solve(ladder: RateLadder):
     """Mean absorption times h_j = E[T | start j], j = 1..N, exactly.
 
     The ladder must have its absorbing state at 0 (p_0 = 0, generator mode).
-    Solves the tri-diagonal system Q_S h = -1 by elimination; exact for
-    rational rates.  h_N equals the closed-form mean lifetime for the
+    Solves the tri-diagonal system -Q_S h = 1 by subtraction-free
+    elimination; exact for rational rates, and float rates keep their
+    relative accuracy above threshold.  h_N equals the closed-form mean lifetime for the
     complete-graph epidemic.
     """
     if ladder.is_subgenerator:
@@ -87,20 +206,24 @@ def hitting_time_solve(ladder: RateLadder):
     if any(base.down_rate(j) == 0 for j in range(1, n + 1)):
         raise UnsupportedStructureError("a zero down-rate disconnects the transient class")
     one = Fraction(1) if base.exact else 1.0
-    # rows j=1..n of Q_S h = -1:  q_j h_{j-1} - (p_j+q_j) h_j + p_j h_{j+1} = -1
+    # rows j=1..n of -Q_S h = 1, eliminated in row-sum (GTH) form: r is the
+    # exit rate left after eliminating the rows below, d = r + p_j the pivot.
+    # Every term is positive, so float rates keep their digits.
     sub = [base.down_rate(j) for j in range(1, n + 1)]       # q_j
     sup = [base.up_rate(j) for j in range(1, n + 1)]         # p_j (p_n = 0)
-    diag = [-(sub[i] + sup[i]) for i in range(n)]
-    rhs = [-one for _ in range(n)]
-    # forward elimination (h_0 = 0 closes the first row)
+    r, g = sub[0], one
+    pivots, sums = [r + sup[0]], [g]
     for i in range(1, n):
-        w = sub[i] / diag[i - 1]
-        diag[i] = diag[i] - w * sup[i - 1]
-        rhs[i] = rhs[i] - w * rhs[i - 1]
+        w = sub[i] / pivots[-1]
+        r = w * r
+        g = one + w * g
+        pivots.append(r + sup[i])
+        sums.append(g)
     h = [one * 0 for _ in range(n)]
-    h[n - 1] = rhs[n - 1] / diag[n - 1]
-    for i in range(n - 2, -1, -1):
-        h[i] = (rhs[i] - sup[i] * h[i + 1]) / diag[i]
+    acc = one * 0
+    for i in range(n - 1, -1, -1):
+        acc = (sums[i] + sup[i] * acc) / pivots[i]
+        h[i] = acc
     return tuple(h)
 
 

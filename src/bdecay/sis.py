@@ -521,10 +521,14 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
         except (QuadratureFailureError, PrecisionExhaustedError):
             expint = None
     asym = lifetime_asymptotic(n, params.x, delta) if x > 1.0 else None
-    if n >= 2:
-        regime = decay_regime(n, params.x, delta).regime
+    # decay_regime's classification, without its second exact lifetime
+    band = 1e-6 if n >= 2 else 0.0
+    if x > 1 + band:
+        regime = REGIME_ABOVE
+    elif abs(x - 1) <= band:
+        regime = REGIME_AT
     else:
-        regime = REGIME_ABOVE if x > 1 else (REGIME_AT if x == 1 else REGIME_BELOW)
+        regime = REGIME_BELOW
     values = [to_float(direct), to_float(taylor)]
     if expint is not None:
         values.append(expint)

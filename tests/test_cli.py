@@ -5,10 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from bdecay import lifetime_direct
-from bdecay.cli import main
+from bdecay import (
+    PrecisionCtx,
+    build_eps_sis_ladder,
+    exact_zeta,
+    lifetime_direct,
+    required_precision,
+    restrict_transient,
+)
+from bdecay.cli import _json_value, main
 
 
 def run_cli(args, env_extra=None):
@@ -122,6 +130,25 @@ class TestSweepCommand:
         keys = [(int(l.split(",")[0]), float(l.split(",")[2])) for l in lines]
         assert keys == sorted(keys)
         assert rc == 0
+
+
+class TestJsonValue:
+    def test_subnormal_zeta_keeps_its_digits(self):
+        # n = 1700, x = 3: zeta ~ -2.72e-318 is a subnormal double, whose
+        # float form would be wrong from the 7th digit on
+        n, x = 1700, Fraction(3)
+        bits = required_precision(n, x)
+        z = exact_zeta(restrict_transient(build_eps_sis_ladder(n, x / n, 1, 0)),
+                       PrecisionCtx(mantissa_bits=bits))
+        value = _json_value(z)
+        assert isinstance(value, str)
+        with mpmath.mp.workprec(bits):
+            lifetime = lifetime_direct(n, mpmath.mpf(3) / n)
+            assert abs(mpmath.mpf(value) * lifetime + 1) <= 1e-6
+
+    def test_normal_and_zero_values_stay_numbers(self):
+        assert _json_value(mpmath.mpf("-2.5e-300")) == -2.5e-300
+        assert _json_value(0.0) == 0.0
 
 
 class TestLifetimeCommand:

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
+import mpmath
 import pytest
 from hypothesis import given, settings
 from mpmath import mp
 
 from bdecay import (
     GENERATOR,
+    STOCHASTIC,
     InconsistentCoefficientsError,
     InsufficientCoefficientsError,
     PrecisionCtx,
@@ -24,6 +27,7 @@ from bdecay import (
     restrict_transient,
 )
 from bdecay._numbers import to_mpf
+from bdecay.oracle import sturm_zeta
 from conftest import rational_ladders
 
 
@@ -125,6 +129,97 @@ class TestExactZeta:
         with mp.workprec(ctx.mantissa_bits):
             assert abs(z - spec[1]) <= 10 * to_mpf(ctx.default_tol)
             assert all(e <= to_mpf(ctx.default_tol) for e in spec)
+
+
+def assert_matches_sturm(ladder, ctx):
+    """exact_zeta and the Sturm referee agree to 10 tol and keep the mode's type."""
+    z = exact_zeta(ladder, ctx)
+    ref = sturm_zeta(ladder, ctx)
+    if ctx.mode == "rational-exact":
+        assert isinstance(z, Fraction)
+        assert abs(z - ref) <= 10 * ctx.default_tol
+        return
+    assert isinstance(z, mpmath.mpf)
+    with mp.workprec(ctx.mantissa_bits):
+        assert abs(z - ref) <= 10 * to_mpf(ctx.default_tol)
+
+
+float_rates = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
+threshold_units = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=8)
+
+
+class TestPerronAgainstSturm:
+    @settings(max_examples=25, deadline=None)
+    @given(rational_ladders(min_states=2, max_states=12))
+    def test_generator_ladders(self, ladder):
+        assert_matches_sturm(ladder, PrecisionCtx())
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_ladders(min_states=2, max_states=12, mode=STOCHASTIC))
+    def test_stochastic_ladders(self, ladder):
+        assert_matches_sturm(ladder, PrecisionCtx())
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        threshold_units,
+        st.fractions(min_value=Fraction(1, 10**5), max_value=1, max_denominator=10**5),
+    )
+    def test_eps_sis_ladders(self, n, x, eps):
+        ladder = build_eps_sis_ladder(n, x / n, 1, eps)
+        assert_matches_sturm(ladder, PrecisionCtx(mantissa_bits=required_precision(n, max(x, 1))))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=10).flatmap(
+        lambda w: st.tuples(st.lists(float_rates, min_size=w, max_size=w),
+                            st.lists(float_rates, min_size=w, max_size=w))
+    ))
+    def test_float_rates(self, rates):
+        up, down = rates
+        assert_matches_sturm(RateLadder(up=up, down=down, mode=GENERATOR), PrecisionCtx())
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=60),
+        st.fractions(min_value=Fraction(9, 8), max_value=3, max_denominator=8),
+    )
+    def test_restricted_above_threshold(self, n, x):
+        sub = restrict_transient(build_eps_sis_ladder(n, x / n, 1, 0))
+        assert_matches_sturm(sub, PrecisionCtx(mantissa_bits=required_precision(n, x)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(rational_ladders(min_states=2, max_states=5))
+    def test_rational_exact_mode(self, ladder):
+        assert_matches_sturm(ladder, PrecisionCtx(mode="rational-exact", mantissa_bits=64))
+
+    @pytest.mark.parametrize("mode", ["float", "rational-exact"])
+    def test_reducible_subgenerator_takes_least_block(self, mode):
+        # zero up-rates cut M into 1-state blocks; the least one is not first
+        sub = restrict_transient(RateLadder(up=[0, 0, 0], down=[6, 2, 4], mode=GENERATOR))
+        ctx = PrecisionCtx(mode=mode, mantissa_bits=64)
+        assert exact_zeta(sub, ctx) == -2
+        assert_matches_sturm(sub, ctx)
+
+    @pytest.mark.parametrize("mode", ["float", "rational-exact"])
+    def test_closed_transient_class_is_precision_exhausted(self, mode):
+        # states 1 and 2 of the sub-generator never exit: M is singular
+        sub = RateLadder(up=[1, 1], down=[0, 1], mode=GENERATOR, loss0=1)
+        ctx = PrecisionCtx(mode=mode, mantissa_bits=64)
+        with pytest.raises(PrecisionExhaustedError):
+            exact_zeta(sub, ctx)
+        with pytest.raises(PrecisionExhaustedError):
+            sturm_zeta(sub, ctx)
+
+
+    def test_tolerance_below_rounding_is_precision_exhausted(self):
+        # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins
+        ladder = RateLadder(
+            up=[Fraction(j % 7 + 1, 3) for j in range(30)],
+            down=[Fraction(j % 5 + 2, 7) for j in range(30)],
+            mode=GENERATOR,
+        )
+        with pytest.raises(PrecisionExhaustedError):
+            exact_zeta(ladder, PrecisionCtx(mantissa_bits=64), tol=Fraction(1, 10**60))
 
 
 class TestRequiredPrecision:

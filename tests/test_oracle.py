@@ -79,6 +79,14 @@ class TestHittingTimes:
         h = hitting_time_solve(sub)
         assert h[-1] == lifetime_direct(5, Fraction(1, 5))
 
+    def test_float_rates_keep_digits_above_threshold(self):
+        # n = 400, x = 2: h_N ~ 9.05e32; subtraction-free elimination keeps
+        # float rates at full relative accuracy
+        h = hitting_time_solve(build_eps_sis_ladder(400, 2.0 / 400, 1.0, 0.0))
+        want = lifetime_direct(400, Fraction(2, 400))
+        assert isinstance(h[-1], float)
+        assert abs(Fraction(h[-1]) - want) <= Fraction(1, 10**12) * want
+
     def test_irreducible_rejected(self):
         with pytest.raises(UnsupportedStructureError):
             hitting_time_solve(build_eps_sis_ladder(3, 1, 1, 1))

@@ -332,6 +332,22 @@ class TestMeanAbsorptionTime:
         with pytest.raises(InvalidParameterError):
             mean_absorption_time(EpsSisParams(n=3, beta=1, delta=1, eps=1))
 
+    @pytest.mark.parametrize("x,regime", [(Fraction(2), "above"), (Fraction(1), "at"),
+                                          (Fraction(1, 2), "below")])
+    def test_one_exact_lifetime_per_report(self, monkeypatch, x, regime):
+        from bdecay import sis
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lifetime_direct(*args, **kwargs)
+
+        monkeypatch.setattr(sis, "lifetime_direct", counting)
+        rep = mean_absorption_time(EpsSisParams.from_x(40, x, 1, 0))
+        assert len(calls) == 1
+        assert rep.regime == regime == decay_regime(40, x).regime
+
     def test_methods_agree_tightly_on_their_domains(self):
         rep = mean_absorption_time(EpsSisParams.from_tau(12, Fraction(1, 4), 1, 0))
         direct = float(rep.f_direct)
