@@ -8,6 +8,12 @@ arbitrary precision (Sturm bisection in `oracle` referees it).  The
 package specializes the machinery to SIS epidemics on the complete graph,
 where the decay parameter governs extinction and the mean extinction time
 has several independent closed forms.
+
+The names below are the production surface.  The paper-formula cross-checks
+live in `charpoly` (c1_explicit, c2_explicit, diag_band_coeffs) and `sis`
+(char_coeff0, char_coeff1, char_coeff2_limit, lifetime_double_sum), and the
+spectrum referees in `oracle` (sturm_zeta, dense_spectrum,
+transient_decay_fit); import them from those modules.
 """
 
 from .chain import (
@@ -15,21 +21,16 @@ from .chain import (
     STOCHASTIC,
     RateLadder,
     SteadyState,
-    SymTridiag,
     build_eps_sis_ladder,
     restrict_transient,
     steady_state,
-    symmetrize,
 )
 from .charpoly import (
     CharCoeffs,
     CoeffTable,
     NewtonSums,
-    c1_explicit,
-    c2_explicit,
     char_coeffs,
     coefficient_table,
-    diag_band_coeffs,
     newton_sums,
     rho_eval,
 )
@@ -57,28 +58,20 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .oracle import (
-    AbsorptionSample,
     GillespieResult,
-    TransientFit,
-    dense_spectrum,
     gillespie_simulate,
     hitting_time_solve,
     survival_log_slope,
-    transient_decay_fit,
 )
 from .sis import (
     EpsSisParams,
     LifetimeReport,
     RegimeEstimate,
     TaylorCoeffs,
-    char_coeff0,
-    char_coeff1,
-    char_coeff2_limit,
     decay_regime,
     exp_integral,
     lifetime_asymptotic,
     lifetime_direct,
-    lifetime_double_sum,
     lifetime_expint,
     lifetime_taylor,
     mean_absorption_time,
@@ -88,4 +81,26 @@ from .sis import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # chain
+    "GENERATOR", "STOCHASTIC", "RateLadder", "SteadyState", "build_eps_sis_ladder",
+    "restrict_transient", "steady_state",
+    # charpoly
+    "CharCoeffs", "CoeffTable", "NewtonSums", "char_coeffs", "coefficient_table",
+    "newton_sums", "rho_eval",
+    # decay
+    "DecayReport", "PrecisionCtx", "decay_report", "exact_zeta", "lagrange_zeta",
+    "newton_bound", "required_precision",
+    # errors
+    "BdecayError", "DegenerateCoefficientsError", "DivergentIntegralError",
+    "DomainError", "InconsistentCoefficientsError", "InsufficientCoefficientsError",
+    "InvalidParameterError", "IrreducibleChainError", "PrecisionExhaustedError",
+    "QuadratureFailureError", "ReducibleChainError", "UnsupportedStructureError",
+    # oracle
+    "GillespieResult", "gillespie_simulate", "hitting_time_solve", "survival_log_slope",
+    # sis
+    "EpsSisParams", "LifetimeReport", "RegimeEstimate", "TaylorCoeffs", "decay_regime",
+    "exp_integral", "lifetime_asymptotic", "lifetime_direct", "lifetime_expint",
+    "lifetime_taylor", "mean_absorption_time", "taylor_coeffs",
+    "weighted_expint_integral",
+]

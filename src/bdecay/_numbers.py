@@ -51,9 +51,3 @@ def to_float(x) -> float:
         return x.numerator / x.denominator
     return float(x)
 
-
-def nstr(x, digits: int = 17) -> str:
-    """Decimal string with `digits` significant digits (round-trippable)."""
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, digits, strip_zeros=True)
-    return f"{to_float(x):.{digits}g}"

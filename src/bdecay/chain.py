@@ -1,4 +1,4 @@
-"""Generalized birth-death ladders: rates, steady state, symmetrization.
+"""Generalized birth-death ladders: rates, steady state, transient restriction.
 
 A ladder on states 0..N is defined by up-rates p_0..p_{N-1} and down-rates
 q_1..q_N (conventions p_N = q_0 = 0).  In `generator` mode the tri-diagonal
@@ -15,12 +15,10 @@ state is kept as pure loss on the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
-
-from ._numbers import all_exact, as_number, is_exact, to_mpf
+from ._numbers import all_exact, as_number, is_exact
 from .errors import (
     InvalidParameterError,
     IrreducibleChainError,
@@ -97,15 +95,6 @@ class RateLadder:
             out = out + self.loss0
         return out
 
-    def diag_entry(self, j):
-        """Diagonal of the working (shifted) matrix: -(p_j+q_j[+loss0])."""
-        d = -self.out_rate(j)
-        return d
-
-    def offdiag_sq(self):
-        """Products p_{j-1} q_j for j=1..N: squares of the symmetrized off-diagonal."""
-        return tuple(self.up[j - 1] * self.down[j - 1] for j in range(1, self.n_states))
-
     def to_dense(self):
         """Dense matrix as list of rows (generator Q, or stochastic P)."""
         n = self.n_states
@@ -152,22 +141,6 @@ class SteadyState:
         return len(self.pi)
 
 
-@dataclass(frozen=True)
-class SymTridiag:
-    """Symmetrized tri-diagonal form and the similarity weights.
-
-    offdiag_sq and h_sq are exact when the ladder is; offdiag and h are their
-    square roots at float precision (use offdiag_sq for precision-critical
-    work such as the Sturm counts of the oracle referee).
-    """
-
-    diag: tuple
-    offdiag_sq: tuple
-    h_sq: tuple
-    offdiag: tuple = field(repr=False, default=())
-    h: tuple = field(repr=False, default=())
-
-
 def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
     """Ladder of the self-exciting SIS process on the complete graph K_n.
 
@@ -202,31 +175,6 @@ def steady_state(ladder: RateLadder) -> SteadyState:
         weights.append(weights[-1] * ladder.up[j] / ladder.down[j])
     total = sum(weights)
     return SteadyState(pi=tuple(w / total for w in weights))
-
-
-def symmetrize(ladder: RateLadder, mantissa_bits: int = 128) -> SymTridiag:
-    """Similarity transform H = diag(h_1..h_n) making the matrix symmetric.
-
-    h_1 = 1 and (h_{i+1}/h_i)^2 = p_{i-1}/q_i; the symmetric off-diagonal is
-    sqrt(p_{i-1} q_i).  Requires all interior rates positive (the transform
-    divides by q_i); a loss0 term is allowed and stays on the diagonal.
-    """
-    if ladder.reducible:
-        raise ReducibleChainError("symmetrization requires all interior rates positive")
-    n = ladder.n_states
-    if ladder.mode == GENERATOR:
-        diag = tuple(-ladder.out_rate(j) for j in range(n))
-    else:
-        one = Fraction(1) if ladder.exact else 1.0
-        diag = tuple(one - ladder.out_rate(j) for j in range(n))
-    off_sq = ladder.offdiag_sq()
-    h_sq = [Fraction(1) if ladder.exact else 1.0]
-    for i in range(1, n):
-        h_sq.append(h_sq[-1] * ladder.up[i - 1] / ladder.down[i - 1])
-    with mp.workprec(mantissa_bits):
-        off = tuple(mp.sqrt(to_mpf(v)) for v in off_sq)
-        h = tuple(mp.sqrt(to_mpf(v)) for v in h_sq)
-    return SymTridiag(diag=diag, offdiag_sq=tuple(off_sq), h_sq=tuple(h_sq), offdiag=off, h=h)
 
 
 def restrict_transient(ladder: RateLadder) -> RateLadder:

@@ -194,10 +194,6 @@ class CharCoeffs:
     def exact(self) -> bool:
         return all(is_exact(v) for v in self.f)
 
-    def top_row_coeff(self, k: int):
-        """c_k(N+1): coefficient of the whole-matrix polynomial rho_{N+1}."""
-        return self.table.c(k, self.n + 1)
-
 
 def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
     """Characteristic coefficients f_0..f_kmax (default: the full vector).
@@ -218,8 +214,7 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
         kmax = N
     if not 0 <= kmax <= N:
         raise ValueError(f"kmax must lie in [0, N] = [0, {N}]")
-    # one extra row so the whole-matrix coefficients c_{k+1}(N+1) are exposed
-    table = coefficient_table(ladder, min(kmax + 1, N + 1))
+    table = coefficient_table(ladder, kmax)
     one = Fraction(1) if base.exact else 1.0
     f0 = one * 0
     w = one

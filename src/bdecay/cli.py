@@ -93,6 +93,16 @@ def _params_from_args(args) -> EpsSisParams:
     return EpsSisParams.from_x(args.n, args.x, args.delta, args.eps)
 
 
+def _precision_ctx(args, n, x) -> PrecisionCtx:
+    """Working precision: --precision-bits, or enough for n nodes at max(x, 1)."""
+    if args.precision_bits is None:
+        return PrecisionCtx(mantissa_bits=required_precision(n, max(x, 1)))
+    try:
+        return PrecisionCtx(mantissa_bits=args.precision_bits)
+    except ValueError as exc:
+        raise InvalidParameterError(f"--precision-bits {args.precision_bits}: {exc}") from None
+
+
 def _meta_line(precision_bits, seed_policy="none") -> str:
     return (
         f"# meta: bdecay {__version__}; precision_bits={precision_bits}; "
@@ -110,8 +120,7 @@ def cmd_decay(args) -> int:
     ladder = params.ladder()
     if params.eps == 0:
         ladder = restrict_transient(ladder)
-    bits = args.precision_bits or required_precision(params.n, max(to_float(params.x), 1))
-    report = decay_report(ladder, PrecisionCtx(mantissa_bits=bits))
+    report = decay_report(ladder, _precision_ctx(args, params.n, to_float(params.x)))
     if to_float(params.x) <= 1:
         print(
             "warning: x <= 1 (at or below threshold); the Lagrange series needs "
@@ -147,6 +156,8 @@ def _sweep_n_values(args):
     else:
         if args.n_min is None or args.n_max is None:
             raise InvalidParameterError("sweep needs --n-values or --n-min/--n-max")
+        if args.n_step < 1:
+            raise InvalidParameterError("--n-step must be positive")
         values = list(range(args.n_min, args.n_max + 1, args.n_step))
     if not values or any(v < 1 for v in values):
         raise InvalidParameterError("sweep n values must be positive")
@@ -161,9 +172,9 @@ def cmd_sweep(args) -> int:
         x_list = sorted(Fraction(v) for v in args.x_values.split(","))
     else:
         x_list = None
-    max_x = max(to_float(x_list[-1]) if x_list else to_float(args.tau) * max(n_values), 1)
-    bits = args.precision_bits or required_precision(max(n_values), max_x)
-    ctx = PrecisionCtx(mantissa_bits=bits)
+    max_x = to_float(x_list[-1]) if x_list else to_float(args.tau) * max(n_values)
+    ctx = _precision_ctx(args, max(n_values), max_x)
+    bits = ctx.mantissa_bits
 
     rows = []
     failures = 0
@@ -237,11 +248,11 @@ def cmd_lifetime(args) -> int:
     report = mean_absorption_time(params)
     x = to_float(params.x)
     residual = None
-    bits = args.precision_bits or required_precision(params.n, max(x, 1))
+    ctx = _precision_ctx(args, params.n, x)
     if x > 1:
         sub = restrict_transient(params.ladder())
-        z = exact_zeta(sub, PrecisionCtx(mantissa_bits=bits))
-        with mpmath.mp.workprec(bits):
+        z = exact_zeta(sub, ctx)
+        with mpmath.mp.workprec(ctx.mantissa_bits):
             residual = abs(z * to_mpf(report.f_direct) + 1)
     payload = {
         "n": params.n,
@@ -256,7 +267,7 @@ def cmd_lifetime(args) -> int:
         "regime": report.regime,
         "max_pairwise_relative_gap": _json_value(report.max_pairwise_relative_gap),
         "zeta_f_residual": _json_value(residual),
-        "precision_bits": bits,
+        "precision_bits": ctx.mantissa_bits,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -62,10 +62,6 @@ class PrecisionCtx:
     def default_tol(self):
         return Fraction(1, 2 ** (self.mantissa_bits // 2))
 
-    @classmethod
-    def auto(cls, n: int, x) -> "PrecisionCtx":
-        return cls(mode=FLOAT, mantissa_bits=required_precision(n, x))
-
 
 def required_precision(n: int, x) -> int:
     """Mantissa bits needed to resolve a decay parameter of order x^-(n-1) n:
@@ -85,7 +81,6 @@ class DecayReport:
 
     zeta_exact: object
     zeta_lagrange: dict
-    zeta_first_bound: object
     zeta_newton_bound: object
     ordering_ok: bool
     precision_bits: int
@@ -285,7 +280,7 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
     if n == 1 and not ladder.is_subgenerator:  # only the zero eigenvalue
         raise ReducibleChainError("a single-state chain has no decay parameter")
     down, up = _m_matrix_rates(ladder)
-    diag = [ladder.diag_entry(j) for j in range(n)]
+    out = [ladder.out_rate(j) for j in range(n)]
 
     if ctx.mode == RATIONAL_EXACT:
         bits = ctx.mantissa_bits
@@ -297,7 +292,7 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
             lambda q: _dyadic_floor(q, bits),
         )
         zeta = -(bracket[0] + bracket[1]) / 2 if bracket else Fraction(0)
-        floor = max(abs(Fraction(d)) for d in diag) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
+        floor = max(Fraction(o) for o in out) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
         if abs(zeta) <= max(floor, tol_r):
             raise PrecisionExhaustedError(
                 "decay parameter not separable from 0 at this tolerance"
@@ -310,7 +305,7 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
             [to_mpf(r) for r in down], [to_mpf(r) for r in up], tol_m, lambda q: q
         )
         zeta = -(bracket[0] + bracket[1]) / 2 if bracket else mp.zero
-        scale = max(abs(to_mpf(d)) for d in diag)
+        scale = max(to_mpf(o) for o in out)
         floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
         if abs(zeta) <= max(floor, tol_m):
             raise PrecisionExhaustedError(
@@ -341,7 +336,6 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
     return DecayReport(
         zeta_exact=zeta,
         zeta_lagrange=lag,
-        zeta_first_bound=lag[1],
         zeta_newton_bound=nb,
         ordering_ok=ordering_ok,
         precision_bits=ctx.mantissa_bits,

@@ -4,6 +4,9 @@ event-driven stochastic simulation.
 
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
+`sturm_zeta`, `dense_spectrum` and `transient_decay_fit` are not re-exported
+by the package; import them from this module.  numpy is imported inside the
+functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
 from mpmath import mp
 
 from ._numbers import to_float, to_mpf
@@ -26,6 +29,9 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .sis import EpsSisParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_LIMIT = 64
 
@@ -56,7 +62,7 @@ def sturm_count_below(diag, offsq, x, tiny):
     """Number of eigenvalues strictly below x (zero pivots nudged negative).
 
     Pivot recursion d_0 = a_0 - x, d_i = (a_i - x) - p_{i-1} q_i / d_{i-1}
-    on the symmetrized matrix: the off-diagonal enters only through the
+    on the symmetric form of the matrix: the off-diagonal enters only through the
     exact products p_{i-1} q_i, so no square roots are taken.
     """
     count = 0
@@ -145,13 +151,6 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
             )
         return +zeta
 
-RNG_METADATA = {
-    "algorithm": "numpy.random.Philox (Philox 4x64 counter-based)",
-    "numpy_version": np.__version__,
-    "stream_derivation": "SeedSequence(entropy=seed, spawn_key=(run_index,))",
-}
-
-
 def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
     """All eigenvalue shifts of the ladder matrix, sorted descending.
 
@@ -228,15 +227,6 @@ def hitting_time_solve(ladder: RateLadder):
 
 
 @dataclass(frozen=True)
-class AbsorptionSample:
-    """One simulated extinction: absorption time, start state, run seed."""
-
-    t: float
-    start_state: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class GillespieResult:
     """Absorption-time samples plus summary statistics.
 
@@ -255,10 +245,6 @@ class GillespieResult:
     budget_exhausted: bool
     metadata: dict
 
-    def iter_samples(self):
-        for i in range(self.runs_completed):
-            yield AbsorptionSample(t=float(self.times[i]), start_state=self.start_state, seed=self.seed)
-
 
 def gillespie_simulate(
     params: EpsSisParams,
@@ -276,6 +262,8 @@ def gillespie_simulate(
     below or near threshold: the wall-clock budget aborts with partial
     results flagged rather than hanging.
     """
+    import numpy as np
+
     if params.eps != 0:
         raise InvalidParameterError("simulation requires eps = 0 (absorbing chain)")
     if runs < 1:
@@ -328,12 +316,18 @@ def gillespie_simulate(
         runs_requested=runs,
         runs_completed=completed,
         budget_exhausted=completed < runs,
-        metadata=dict(RNG_METADATA),
+        metadata={
+            "algorithm": "numpy.random.Philox (Philox 4x64 counter-based)",
+            "numpy_version": np.__version__,
+            "stream_derivation": "SeedSequence(entropy=seed, spawn_key=(run_index,))",
+        },
     )
 
 
 def survival_log_slope(times: np.ndarray, q_lo: float = 0.5, q_hi: float = 0.99) -> float:
     """Least-squares slope of log Pr[T > t] over the [q_lo, q_hi] sample tail."""
+    import numpy as np
+
     srt = np.sort(np.asarray(times))
     m = len(srt)
     lo, hi = int(q_lo * m), int(q_hi * m)
@@ -359,7 +353,6 @@ class TransientFit:
 def transient_decay_fit(
     ladder: RateLadder,
     t_grid,
-    ctx: PrecisionCtx | None = None,
     start: int | None = None,
     floor: float = 1e-12,
     drift_tol: float = 0.05,
@@ -370,9 +363,11 @@ def transient_decay_fit(
     uses the last half of the grid points whose residual stays above `floor`;
     the result is flagged unreliable when too few such points survive or when
     the slope still drifts between the two halves of the fit window (the grid
-    then sits before the asymptotic decay regime).
+    then sits before the asymptotic decay regime).  Runs in double
+    precision, which is ample for a 1% slope fit.
     """
-    del ctx  # double precision is ample for a 1% slope fit
+    import numpy as np
+
     if ladder.reducible or ladder.is_subgenerator:
         raise InvalidParameterError("transient fit needs an irreducible ladder")
     n = ladder.n_states

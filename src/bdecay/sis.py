@@ -11,6 +11,10 @@ eps = 0) is available through four independent routes:
   * lifetime_asymptotic- large-n form for fixed x = n*tau > 1
 
 plus the literal double sum (lifetime_double_sum) kept as a test oracle.
+It and the closed-form coefficients char_coeff0, char_coeff1 and
+char_coeff2_limit cross-check the paper's formulas; they are not re-exported
+by the package, so import them from this module.  scipy is imported by the
+expint route only, when it runs.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
-from scipy import integrate, special
 
 from ._numbers import as_number, is_exact, to_float, to_mpf
 from .chain import RateLadder, build_eps_sis_ladder
@@ -320,6 +322,8 @@ def _exp_integral_scaled(n: int, w: float) -> float:
             raise DivergentIntegralError("E_1(0) diverges")
         return 1.0 / (n - 1)
     if w <= 200.0:
+        from scipy import special
+
         return math.exp(w) * special.expn(n, w)
     tiny = 1e-300
     C = 1e300
@@ -344,6 +348,8 @@ def _exp_integral_scaled(n: int, w: float) -> float:
 
 def _quad(f, a, b, points=None):
     """scipy adaptive Gauss-Kronrod with an explicit error-estimate gate."""
+    from scipy import integrate
+
     kwargs = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
     if points is not None:
         kwargs["points"] = points
@@ -374,7 +380,7 @@ def weighted_expint_integral(tau, k: int) -> float:
             ratio = 1.0 - v / 2.0 + v * v / 3.0 if abs(v) < 1e-7 else math.log(u) / v
             return ratio * math.exp(-u * inv)
 
-        return _quad(g, 0.0, 2.0, points=[1.0]) + _quad(g, 2.0, np.inf)
+        return _quad(g, 0.0, 2.0, points=[1.0]) + _quad(g, 2.0, math.inf)
     inv = 1.0 / tau
 
     def f(w):
@@ -383,7 +389,7 @@ def weighted_expint_integral(tau, k: int) -> float:
             return 0.0
         return _exp_integral_scaled(k, w) / den
 
-    return _quad(f, 0.0, np.inf)
+    return _quad(f, 0.0, math.inf)
 
 
 def lifetime_expint(n: int, tau, delta=1) -> float:
@@ -414,7 +420,7 @@ def lifetime_expint(n: int, tau, delta=1) -> float:
     def g(w):
         return _exp_integral_scaled(n + 1, w) / (w + inv)
 
-    total -= _quad(g, 0.0, np.inf)
+    total -= _quad(g, 0.0, math.inf)
     val = total / beta
     if not math.isfinite(val):
         raise PrecisionExhaustedError("dynamic range exhausted in the expint form")
@@ -458,6 +464,15 @@ class RegimeEstimate:
     order_only: bool
 
 
+def _regime(x_f: float, band: float) -> str:
+    """Position of x against the threshold 1; |x-1| <= band counts as 'at'."""
+    if x_f > 1 + band:
+        return REGIME_ABOVE
+    if abs(x_f - 1) <= band:
+        return REGIME_AT
+    return REGIME_BELOW
+
+
 def decay_regime(n: int, x, delta=1, band: float = 1e-6) -> RegimeEstimate:
     """Classify x against the threshold (|x-1| <= band counts as 'at') and
     return the leading estimate of -zeta: 1/F above, 5 delta/(4n) at, and the
@@ -469,21 +484,22 @@ def decay_regime(n: int, x, delta=1, band: float = 1e-6) -> RegimeEstimate:
     x_f = to_float(x_n)
     if x_f <= 0:
         raise InvalidParameterError("x must be positive")
-    if x_f > 1 + band:
+    regime = _regime(x_f, band)
+    if regime == REGIME_ABOVE:
         tau = x_n / n if is_exact(x_n) else x_f / n
         return RegimeEstimate(
-            regime=REGIME_ABOVE,
+            regime=regime,
             leading_estimate=1.0 / to_float(lifetime_direct(n, tau, delta_n)),
             order_only=False,
         )
-    if abs(x_f - 1) <= band:
+    if regime == REGIME_AT:
         return RegimeEstimate(
-            regime=REGIME_AT,
+            regime=regime,
             leading_estimate=5 * to_float(delta_n) / (4 * n),
             order_only=False,
         )
     return RegimeEstimate(
-        regime=REGIME_BELOW,
+        regime=regime,
         leading_estimate=to_float(delta_n) / math.log(n),
         order_only=True,
     )
@@ -521,14 +537,8 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
         except (QuadratureFailureError, PrecisionExhaustedError):
             expint = None
     asym = lifetime_asymptotic(n, params.x, delta) if x > 1.0 else None
-    # decay_regime's classification, without its second exact lifetime
-    band = 1e-6 if n >= 2 else 0.0
-    if x > 1 + band:
-        regime = REGIME_ABOVE
-    elif abs(x - 1) <= band:
-        regime = REGIME_AT
-    else:
-        regime = REGIME_BELOW
+    # classify without decay_regime, which would compute a second exact lifetime
+    regime = _regime(x, 1e-6 if n >= 2 else 0.0)
     values = [to_float(direct), to_float(taylor)]
     if expint is not None:
         values.append(expint)

@@ -1,17 +1,15 @@
 """Self-contained invariant checks behind the `validate` CLI command.
 
 Each check returns (ok, detail).  The suite is deterministic: random ladders
-come from a fixed-seed generator.  BDECAY_FAULT=f2-sign-flip flips the sign
-of f_2 inside the bound-ordering check; the suite must then fail naming
-"bound-ordering" (red-path test hook, not a user feature).
+come from a fixed-seed generator.  The bound-ordering check reads
+`decay_report`'s own ordering verdict, so the suite and the CLI judge the
+bounds by one rule.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -19,8 +17,6 @@ from mpmath import mp
 
 from . import chain, charpoly, decay, oracle, sis
 from ._numbers import to_float, to_mpf
-
-FAULT_ENV = "BDECAY_FAULT"
 
 
 def _rand_ladder(rng: random.Random, n: int) -> chain.RateLadder:
@@ -47,7 +43,6 @@ def check_small_spectrum_exact(level: str):
 
 
 def check_bound_ordering(level: str):
-    fault = os.environ.get(FAULT_ENV, "") == "f2-sign-flip"
     n_top = 12 if level == "quick" else 24
     rows = []
     for n in range(4, n_top + 1, 2):
@@ -57,27 +52,12 @@ def check_bound_ordering(level: str):
                 ladder = params.ladder()
                 if eps == 0:
                     ladder = chain.restrict_transient(ladder)
-                coeffs = charpoly.char_coeffs(ladder, kmax=3)
-                if fault:
-                    f = list(coeffs.f)
-                    f[2] = -f[2]
-                    coeffs = replace(coeffs, f=tuple(f))
-                ctx = decay.PrecisionCtx.auto(n, to_float(x))
+                bits = decay.required_precision(n, to_float(x))
                 try:
-                    l1 = decay.lagrange_zeta(coeffs, 1)
-                    l2 = decay.lagrange_zeta(coeffs, 2)
-                    nb = decay.newton_bound(coeffs, ctx.mantissa_bits)
-                    z = decay.exact_zeta(ladder, ctx)
+                    report = decay.decay_report(ladder, decay.PrecisionCtx(mantissa_bits=bits))
                 except decay.InconsistentCoefficientsError as exc:
                     return False, f"n={n} x={x} eps={eps}: {exc}"
-                with mp.workprec(ctx.mantissa_bits):
-                    ok = (
-                        to_mpf(z) <= nb + to_mpf(ctx.default_tol) * 2
-                        and nb <= to_mpf(l1)
-                        and to_mpf(l2) <= to_mpf(l1)
-                        and l1 < 0
-                    )
-                rows.append(((n, str(x), str(eps)), bool(ok)))
+                rows.append(((n, str(x), str(eps)), report.ordering_ok))
     bad = [key for key, ok in rows if not ok]
     if bad:
         return False, f"ordering violated at (n,x,eps)={bad[0]}"
@@ -216,7 +196,7 @@ def check_zeta_lifetime_product(level: str):
     n, x = 100, Fraction(2)
     params = sis.EpsSisParams.from_x(n, x, Fraction(1), 0)
     sub = chain.restrict_transient(params.ladder())
-    ctx = decay.PrecisionCtx.auto(n, 2)
+    ctx = decay.PrecisionCtx(mantissa_bits=decay.required_precision(n, 2))
     z = decay.exact_zeta(sub, ctx)
     lifetime = sis.lifetime_direct(n, params.tau)
     with mp.workprec(ctx.mantissa_bits):

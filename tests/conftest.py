@@ -1,8 +1,11 @@
+from collections import namedtuple
 from fractions import Fraction
 
 import hypothesis.strategies as st
+from mpmath import mp
 
-from bdecay import GENERATOR, RateLadder
+from bdecay import GENERATOR, RateLadder, ReducibleChainError
+from bdecay._numbers import to_mpf
 
 positive_rates = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(4), max_denominator=20
@@ -21,3 +24,30 @@ def rational_ladders(draw, min_states=2, max_states=8, mode=GENERATOR):
     return RateLadder(
         up=[p / scale for p in up], down=[q / scale for q in down], mode=mode
     )
+
+
+# offdiag_sq and h_sq are exact when the ladder is; offdiag and h are their
+# square roots at the requested precision
+SymTridiag = namedtuple("SymTridiag", "diag offdiag_sq h_sq offdiag h")
+
+
+def symmetrize(ladder, mantissa_bits=128):
+    """Similarity transform H = diag(h_1..h_n) making the ladder matrix symmetric.
+
+    h_1 = 1 and (h_{i+1}/h_i)^2 = p_{i-1}/q_i; the symmetric off-diagonal is
+    sqrt(p_{i-1} q_i).  Requires all interior rates positive (the transform
+    divides by q_i); a loss0 term is allowed and stays on the diagonal.
+    """
+    if ladder.reducible:
+        raise ReducibleChainError("symmetrization requires all interior rates positive")
+    one = Fraction(1) if ladder.exact else 1.0
+    shift = 0 if ladder.mode == GENERATOR else one
+    diag = tuple(shift - ladder.out_rate(j) for j in range(ladder.n_states))
+    off_sq = tuple(p * q for p, q in zip(ladder.up, ladder.down))
+    h_sq = [one]
+    for p, q in zip(ladder.up, ladder.down):
+        h_sq.append(h_sq[-1] * p / q)
+    with mp.workprec(mantissa_bits):
+        off = tuple(mp.sqrt(to_mpf(v)) for v in off_sq)
+        h = tuple(mp.sqrt(to_mpf(v)) for v in h_sq)
+    return SymTridiag(diag=diag, offdiag_sq=off_sq, h_sq=tuple(h_sq), offdiag=off, h=h)

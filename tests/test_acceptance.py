@@ -34,7 +34,6 @@ from bdecay import (
     char_coeffs,
     coefficient_table,
     decay_report,
-    dense_spectrum,
     exact_zeta,
     exp_integral,
     gillespie_simulate,
@@ -48,11 +47,12 @@ from bdecay import (
     restrict_transient,
     rho_eval,
     survival_log_slope,
-    symmetrize,
     taylor_coeffs,
     weighted_expint_integral,
 )
 from bdecay._numbers import to_mpf
+from bdecay.oracle import dense_spectrum
+from conftest import symmetrize
 
 TAU_RULES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))  # x values
 

@@ -15,9 +15,8 @@ from bdecay import (
     build_eps_sis_ladder,
     restrict_transient,
     steady_state,
-    symmetrize,
 )
-from conftest import rational_ladders
+from conftest import rational_ladders, symmetrize
 
 
 class TestBuildEpsSis:

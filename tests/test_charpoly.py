@@ -16,18 +16,15 @@ from bdecay import (
     RateLadder,
     ReducibleChainError,
     build_eps_sis_ladder,
-    c1_explicit,
-    c2_explicit,
     char_coeffs,
     coefficient_table,
-    dense_spectrum,
-    diag_band_coeffs,
     newton_sums,
     restrict_transient,
     rho_eval,
-    symmetrize,
 )
-from conftest import rational_ladders
+from bdecay.charpoly import c1_explicit, c2_explicit, diag_band_coeffs
+from bdecay.oracle import dense_spectrum
+from conftest import rational_ladders, symmetrize
 
 
 def second_order_table(ladder, kmax):
@@ -158,8 +155,9 @@ class TestCharCoeffs:
     def test_top_row_ties_to_f(self, ladder):
         coeffs = char_coeffs(ladder)
         n = coeffs.n
+        table = coefficient_table(ladder, n + 1)
         for k in range(n + 1):
-            assert coeffs.top_row_coeff(k + 1) * coeffs.f[n] == coeffs.f[k]
+            assert table.c(k + 1, n + 1) * coeffs.f[n] == coeffs.f[k]
 
     def test_f0_is_inverse_ground_probability(self):
         from bdecay import steady_state

@@ -1,8 +1,8 @@
 import json
 import math
-import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -16,20 +16,14 @@ from bdecay import (
     required_precision,
     restrict_transient,
 )
+from bdecay import decay
 from bdecay.cli import _json_value, main
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bdecay.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+def run_cli(args):
+    return subprocess.run(
+        [sys.executable, "-m", "bdecay.cli", *args], capture_output=True, text=True
     )
-    return proc
 
 
 class TestDecayCommand:
@@ -220,10 +214,39 @@ class TestValidateCommand:
         assert out["first_failure"] is None
         assert any(c["name"] == "bound-ordering" for c in out["checks"])
 
-    def test_injected_fault_names_bound_ordering(self):
-        proc = run_cli(["validate", "--level", "quick"],
-                       env_extra={"BDECAY_FAULT": "f2-sign-flip"})
-        assert proc.returncode == 1
-        summary = json.loads(proc.stdout)
+    def test_injected_fault_names_bound_ordering(self, monkeypatch, capsys):
+        char_coeffs = decay.char_coeffs
+
+        def f2_sign_flipped(ladder, kmax=None):
+            coeffs = char_coeffs(ladder, kmax)
+            return replace(coeffs, f=coeffs.f[:2] + (-coeffs.f[2],) + coeffs.f[3:])
+
+        monkeypatch.setattr(decay, "char_coeffs", f2_sign_flipped)
+        rc = main(["validate", "--level", "quick"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        summary = json.loads(captured.out)
         assert summary["first_failure"] == "bound-ordering"
-        assert "bound-ordering" in proc.stderr
+        assert "bound-ordering" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--n", "5", "--x", "2", "--precision-bits", "32"],
+        ["decay", "--n", "5", "--x", "2", "--precision-bits", "0"],
+        ["decay", "--n", "5", "--x", "2", "--precision-bits", "-64"],
+        ["sweep", "--n-values", "4,8", "--x-values", "2", "--precision-bits", "32"],
+        ["sweep", "--n-min", "4", "--n-max", "8", "--n-step", "0", "--x-values", "2"],
+        ["lifetime", "--n", "5", "--x", "2", "--precision-bits", "0"],
+        ["lifetime", "--n", "5", "--x", "1/2", "--precision-bits", "32"],
+        ["regimes", "--n-min", "4", "--n-max", "8", "--n-step", "0", "--x-values", "2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_flag_values_are_usage_errors(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

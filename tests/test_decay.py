@@ -19,7 +19,6 @@ from bdecay import (
     build_eps_sis_ladder,
     char_coeffs,
     decay_report,
-    dense_spectrum,
     exact_zeta,
     lagrange_zeta,
     newton_bound,
@@ -27,7 +26,7 @@ from bdecay import (
     restrict_transient,
 )
 from bdecay._numbers import to_mpf
-from bdecay.oracle import sturm_zeta
+from bdecay.oracle import dense_spectrum, sturm_zeta
 from conftest import rational_ladders
 
 

@@ -10,15 +10,14 @@ from bdecay import (
     RateLadder,
     UnsupportedStructureError,
     build_eps_sis_ladder,
-    dense_spectrum,
     exact_zeta,
     gillespie_simulate,
     hitting_time_solve,
     lifetime_direct,
     restrict_transient,
     survival_log_slope,
-    transient_decay_fit,
 )
+from bdecay.oracle import dense_spectrum, transient_decay_fit
 
 
 def harmonic(n):
@@ -142,9 +141,8 @@ class TestGillespie:
         res = gillespie_simulate(params, runs=10, seed=0)
         assert "Philox" in res.metadata["algorithm"]
         assert res.metadata["numpy_version"] == np.__version__
-        samples = list(res.iter_samples())
-        assert len(samples) == 10
-        assert all(s.t > 0 and s.start_state == 2 for s in samples)
+        assert len(res.times) == 10
+        assert all(t > 0 for t in res.times) and res.start_state == 2
 
 
 class TestTransientFit:

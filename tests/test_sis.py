@@ -11,15 +11,11 @@ from bdecay import (
     DomainError,
     EpsSisParams,
     InvalidParameterError,
-    char_coeff0,
-    char_coeff1,
-    char_coeff2_limit,
     char_coeffs,
     decay_regime,
     exp_integral,
     lifetime_asymptotic,
     lifetime_direct,
-    lifetime_double_sum,
     lifetime_expint,
     lifetime_taylor,
     mean_absorption_time,
@@ -28,6 +24,7 @@ from bdecay import (
     taylor_coeffs,
     weighted_expint_integral,
 )
+from bdecay.sis import char_coeff0, char_coeff1, char_coeff2_limit, lifetime_double_sum
 
 EULER_GAMMA = 0.5772156649015329
 
