@@ -150,16 +150,31 @@ def cmd_decay(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(text: str, flag: str, parse) -> list:
+    """Items of a comma-list flag, each through `parse`; a bad item is a usage error."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(parse(item))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidParameterError(f"{flag}: not a number: {item!r}") from None
+    return items
+
+
 def _sweep_n_values(args):
-    if args.n_values:
-        values = sorted({int(v) for v in args.n_values.split(",")})
+    if args.n_values is not None:
+        values = sorted(set(_comma_list(args.n_values, "--n-values", int)))
     else:
         if args.n_min is None or args.n_max is None:
             raise InvalidParameterError("sweep needs --n-values or --n-min/--n-max")
         if args.n_step < 1:
             raise InvalidParameterError("--n-step must be positive")
         values = list(range(args.n_min, args.n_max + 1, args.n_step))
-    if not values or any(v < 1 for v in values):
+        if not values:
+            raise InvalidParameterError(
+                f"--n-min {args.n_min} --n-max {args.n_max}: empty range"
+            )
+    if any(v < 1 for v in values):
         raise InvalidParameterError("sweep n values must be positive")
     return values
 
@@ -168,10 +183,9 @@ def cmd_sweep(args) -> int:
     n_values = _sweep_n_values(args)
     if (args.tau is None) == (args.x_values is None):
         raise InvalidParameterError("exactly one of --tau or --x-values is required")
-    if args.x_values:
-        x_list = sorted(Fraction(v) for v in args.x_values.split(","))
-    else:
-        x_list = None
+    x_list = None
+    if args.x_values is not None:
+        x_list = sorted(_comma_list(args.x_values, "--x-values", Fraction))
     max_x = to_float(x_list[-1]) if x_list else to_float(args.tau) * max(n_values)
     ctx = _precision_ctx(args, max(n_values), max_x)
     bits = ctx.mantissa_bits
@@ -275,7 +289,7 @@ def cmd_lifetime(args) -> int:
 
 def cmd_regimes(args) -> int:
     n_values = _sweep_n_values(args)
-    x_list = sorted(Fraction(v) for v in args.x_values.split(","))
+    x_list = sorted(_comma_list(args.x_values, "--x-values", Fraction))
     rows = []
     for n in n_values:
         for x in x_list:

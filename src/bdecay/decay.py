@@ -35,26 +35,18 @@ from .errors import (
     ReducibleChainError,
 )
 
-RATIONAL_EXACT = "rational-exact"
-FLOAT = "float"
-
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working-precision context: exact rationals or mpmath floats.
+    """Working precision of the ζ kernel and of its Sturm referee.
 
-    In float mode all pivots are mpf numbers with `mantissa_bits` of
-    mantissa; in rational-exact mode they are Fractions and the brackets are
-    exact (practical only for small ladders: pivot bit-size grows with the
-    state count).
+    All pivots are mpf numbers with `mantissa_bits` of mantissa, and
+    brackets close to width `default_tol` = 2^-(mantissa_bits/2).
     """
 
-    mode: str = FLOAT
     mantissa_bits: int = 128
 
     def __post_init__(self):
-        if self.mode not in (FLOAT, RATIONAL_EXACT):
-            raise ValueError(f"unknown precision mode {self.mode!r}")
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be at least 64")
 
@@ -158,14 +150,6 @@ def _m_matrix_rates(ladder: RateLadder):
     return ladder.up, ladder.down
 
 
-def _dyadic_floor(q: Fraction, bits: int) -> Fraction:
-    """Largest Fraction with about `bits` significant bits that is <= q."""
-    shift = bits - q.numerator.bit_length() + q.denominator.bit_length()
-    if shift >= 0:
-        return Fraction((q.numerator << shift) // q.denominator, 1 << shift)
-    return Fraction((q.numerator // (q.denominator << -shift)) << -shift)
-
-
 def _shifted_solve(down, up, s, v):
     """y = (M - sI)^-1 v by tridiagonal elimination in row-sum (GTH) form.
 
@@ -197,7 +181,7 @@ def _shifted_solve(down, up, s, v):
 _STALL_LIMIT = 16
 
 
-def _perron_bracket(down, up, tol, settle):
+def _perron_bracket(down, up, tol):
     """Bracket [lo, hi] of the smallest eigenvalue of one irreducible block.
 
     Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
@@ -205,9 +189,8 @@ def _perron_bracket(down, up, tol, settle):
     shift then moves below the certified lower bound, to lo - (hi - lo) or,
     while the bracket is wider than 2^-16 (lo - s), to lo - 2^-16 (lo - s).  A
     shift that overshoots in rounding shows up as a non-positive pivot and is
-    backed off to the last one that factorised.  `settle` shortens v and the
-    shift (any positive v keeps the bracket valid).  Returns None when the
-    block is singular (a closed class with no exit).
+    backed off to the last one that factorised.  Returns None when the block
+    is singular (a closed class with no exit).
     """
     v = [1] * len(down)
     shift = trial = 0 * down[0]
@@ -233,11 +216,11 @@ def _perron_bracket(down, up, tol, settle):
                     "Perron bracket stopped shrinking above tol; raise the precision"
                 )
         # while the bracket is wide, stop 2^-16 of the way short of lo
-        trial = max(shift, settle(shift + lo - min(hi - lo, lo / 65536)))
-        v = [settle(b) for b in y]
+        trial = max(shift, shift + lo - min(hi - lo, lo / 65536))
+        v = y
 
 
-def _smallest_eigenvalue(down, up, tol, settle):
+def _smallest_eigenvalue(down, up, tol):
     """Bracket of the smallest eigenvalue of M, or None when M is singular.
 
     A zero coupling product down_i up_{i-1} makes M block-triangular; the
@@ -248,21 +231,21 @@ def _smallest_eigenvalue(down, up, tol, settle):
     cuts = [0] + [i for i in range(1, m) if down[i] * up[i - 1] == 0] + [m]
     brackets = []
     for a, b in zip(cuts, cuts[1:]):
-        bracket = _perron_bracket(down[a:b], up[a:b], tol, settle)
+        bracket = _perron_bracket(down[a:b], up[a:b], tol)
         if bracket is None:
             return None
         brackets.append(bracket)
     return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 
-def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
+def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by shifted Perron iteration on the M-matrix -Q.
 
     Irreducible ladder: second-largest eigenvalue (the largest is exactly 0
     for a generator / shift of 1 for a stochastic matrix), through the
-    Siegmund dual.  Restricted sub-generator: largest eigenvalue.  The
-    Collatz-Wielandt bracket is closed to width <= tol (default
-    2^-(mantissa_bits/2)) and its midpoint returned.
+    Siegmund dual.  Restricted sub-generator: largest eigenvalue.  Runs in
+    mpf arithmetic at ctx.mantissa_bits, closes the Collatz-Wielandt bracket
+    to width <= ctx.default_tol and returns its midpoint as an mpf.
 
     Raises PrecisionExhaustedError when the located value is within the
     round-off floor of 0, i.e. the working precision cannot separate the
@@ -274,42 +257,20 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
         raise ReducibleChainError(
             "exact_zeta needs an irreducible ladder or a restricted sub-generator"
         )
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
     n = ladder.n_states
     if n == 1 and not ladder.is_subgenerator:  # only the zero eigenvalue
         raise ReducibleChainError("a single-state chain has no decay parameter")
     down, up = _m_matrix_rates(ladder)
-    out = [ladder.out_rate(j) for j in range(n)]
-
-    if ctx.mode == RATIONAL_EXACT:
-        bits = ctx.mantissa_bits
-        tol_r = Fraction(tol) if tol is not None else ctx.default_tol
-        bracket = _smallest_eigenvalue(
-            [Fraction(r) for r in down],
-            [Fraction(r) for r in up],
-            tol_r,
-            lambda q: _dyadic_floor(q, bits),
-        )
-        zeta = -(bracket[0] + bracket[1]) / 2 if bracket else Fraction(0)
-        floor = max(Fraction(o) for o in out) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
-        if abs(zeta) <= max(floor, tol_r):
-            raise PrecisionExhaustedError(
-                "decay parameter not separable from 0 at this tolerance"
-            )
-        return zeta
 
     with mp.workprec(ctx.mantissa_bits):
-        tol_m = to_mpf(tol) if tol is not None else to_mpf(ctx.default_tol)
-        bracket = _smallest_eigenvalue(
-            [to_mpf(r) for r in down], [to_mpf(r) for r in up], tol_m, lambda q: q
-        )
+        tol = to_mpf(ctx.default_tol)
+        bracket = _smallest_eigenvalue([to_mpf(r) for r in down], [to_mpf(r) for r in up], tol)
         zeta = -(bracket[0] + bracket[1]) / 2 if bracket else mp.zero
-        scale = max(to_mpf(o) for o in out)
+        scale = max(to_mpf(ladder.out_rate(j)) for j in range(n))
         floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
-        if abs(zeta) <= max(floor, tol_m):
+        if abs(zeta) <= max(floor, tol):
             raise PrecisionExhaustedError(
-                f"|zeta| <= resolution floor {mpmath.nstr(max(floor, tol_m), 5)} "
+                f"|zeta| <= resolution floor {mpmath.nstr(max(floor, tol), 5)} "
                 f"at {ctx.mantissa_bits} bits; raise the precision"
             )
         return +zeta
@@ -330,7 +291,7 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
     with mp.workprec(ctx.mantissa_bits):
         l1, l2 = to_mpf(lag[1]), to_mpf(lag[2])
         z = to_mpf(zeta)
-        # bisection tolerance slack on the exact value
+        # the Perron bracket's width tolerance, as slack on the exact value
         slack = to_mpf(ctx.default_tol) * 2
         ordering_ok = bool(z <= nb + slack and nb <= l1 and l1 < 0 and l2 <= l1)
     return DecayReport(

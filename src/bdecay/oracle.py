@@ -21,7 +21,7 @@ from mpmath import mp
 
 from ._numbers import to_float, to_mpf
 from .chain import GENERATOR, RateLadder, steady_state
-from .decay import RATIONAL_EXACT, PrecisionCtx
+from .decay import PrecisionCtx
 from .errors import (
     InvalidParameterError,
     PrecisionExhaustedError,
@@ -40,21 +40,19 @@ DENSE_LIMIT = 64
 # ---------------------------------------------------------------------------
 
 
-def _sturm_arrays(ladder: RateLadder, ctx: PrecisionCtx):
-    """(diag, offdiag^2) of the shifted working matrix, in ctx arithmetic.
+def _sturm_arrays(ladder: RateLadder):
+    """(diag, offdiag^2) of the shifted working matrix as mpf arrays.
 
-    Sums and products are formed exactly, or at working precision for float
-    rates (never rounded to double first).  Must be called inside
-    mp.workprec(ctx.mantissa_bits) in float mode.
+    Sums and products are formed exactly for exact rates, or at working
+    precision for float rates (never rounded to double first), and rounded
+    once at the end, at the working precision the caller has set.
     """
-    num = Fraction if ctx.mode == RATIONAL_EXACT or ladder.exact else to_mpf
+    num = Fraction if ladder.exact else to_mpf
     up = [num(p) for p in ladder.up] + [num(0)]
     down = [num(0)] + [num(q) for q in ladder.down]
     diag = [-(p + q) for p, q in zip(up, down)]
     diag[0] -= num(ladder.loss0)
     offsq = [up[j - 1] * down[j] for j in range(1, ladder.n_states)]
-    if ctx.mode == RATIONAL_EXACT:
-        return diag, offsq
     return [to_mpf(d) for d in diag], [to_mpf(s) for s in offsq]
 
 
@@ -101,14 +99,15 @@ def _eig_by_index(diag, offsq, k, tol, tiny):
     return _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny)
 
 
-def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
+def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by index-selected Sturm bisection (referee route).
 
     Same contract as `decay.exact_zeta`.  Irreducible ladder: second-largest
     eigenvalue; restricted sub-generator: largest eigenvalue, selected by
     index, which stays correct when the decay parameter clusters
-    exponentially close to the zero eigenvalue.  Bracketed to width <= tol
-    (default 2^-(mantissa_bits/2)) at about (mantissa_bits/2) O(n) sweeps.
+    exponentially close to the zero eigenvalue.  Bisects in mpf arithmetic
+    at ctx.mantissa_bits to width <= ctx.default_tol, about
+    (mantissa_bits/2) O(n) sweeps.
 
     Raises PrecisionExhaustedError when the located value is within the
     round-off floor of 0.
@@ -118,38 +117,25 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
         raise ReducibleChainError(
             "exact_zeta needs an irreducible ladder or a restricted sub-generator"
         )
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
     n = ladder.n_states
     k = n if ladder.is_subgenerator else n - 1
     if k == 0:  # 1-state irreducible generator: only the zero eigenvalue
         raise ReducibleChainError("a single-state chain has no decay parameter")
 
-    if ctx.mode == RATIONAL_EXACT:
-        diag, offsq = _sturm_arrays(ladder, ctx)
-        tol_r = Fraction(tol) if tol is not None else ctx.default_tol
-        tiny = Fraction(1, 2 ** (2 * ctx.mantissa_bits))
-        zeta = _eig_by_index(diag, offsq, k, tol_r, tiny)
-        floor = max(abs(d) for d in diag) * Fraction(1, 2 ** (ctx.mantissa_bits * 4))
-        if abs(zeta) <= max(floor, tol_r):
-            raise PrecisionExhaustedError(
-                "decay parameter not separable from 0 at this tolerance"
-            )
-        return zeta
-
     with mp.workprec(ctx.mantissa_bits):
-        diag, offsq = _sturm_arrays(ladder, ctx)
-        tol_m = to_mpf(tol) if tol is not None else to_mpf(ctx.default_tol)
+        diag, offsq = _sturm_arrays(ladder)
+        tol = to_mpf(ctx.default_tol)
         tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
-        zeta = _eig_by_index(diag, offsq, k, tol_m, tiny)
+        zeta = _eig_by_index(diag, offsq, k, tol, tiny)
         scale = max(abs(d) for d in diag)
         floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
-        if abs(zeta) <= max(floor, tol_m):
+        if abs(zeta) <= max(floor, tol):
             raise PrecisionExhaustedError(
-                f"|zeta| <= resolution floor {mp.nstr(max(floor, tol_m), 5)} "
+                f"|zeta| <= resolution floor {mp.nstr(max(floor, tol), 5)} "
                 f"at {ctx.mantissa_bits} bits; raise the precision"
             )
         return +zeta
+
 
 def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
     """All eigenvalue shifts of the ladder matrix, sorted descending.
@@ -157,20 +143,17 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
     Root isolation on the degree-(N+1) polynomial of the matrix via Sturm
     sign counts: each eigenvalue is extracted by index, so clustered values
     come out with their multiplicities.  Works for reducible ladders (zero
-    off-diagonal products decouple the blocks).
+    off-diagonal products decouple the blocks).  Bisects in mpf arithmetic
+    at ctx.mantissa_bits to width <= tol (default ctx.default_tol).
     """
     ctx = ctx or PrecisionCtx()
     n = ladder.n_states
     if n - 1 > DENSE_LIMIT:
         raise InvalidParameterError(f"dense spectrum is limited to N <= {DENSE_LIMIT}")
     with mp.workprec(ctx.mantissa_bits):
-        diag, offsq = _sturm_arrays(ladder, ctx)
-        if ctx.mode == RATIONAL_EXACT:
-            tiny = Fraction(1, 2 ** (2 * ctx.mantissa_bits))
-            tol_v = Fraction(tol) if tol is not None else ctx.default_tol
-        else:
-            tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
-            tol_v = to_mpf(tol) if tol is not None else to_mpf(ctx.default_tol)
+        diag, offsq = _sturm_arrays(ladder)
+        tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
+        tol = to_mpf(tol if tol is not None else ctx.default_tol)
         scale = max(abs(d) for d in diag) + 1
         lo = -4 * scale
         while sturm_count_below(diag, offsq, lo, tiny) > 0:
@@ -180,7 +163,7 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
             hi *= 2
         eigs = []
         for k in range(1, n + 1):
-            eigs.append(_bisect_eigenvalue(diag, offsq, k, lo, hi, tol_v, tiny))
+            eigs.append(_bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny))
         return list(reversed([+e for e in eigs]))
 
 

@@ -37,6 +37,12 @@ from .errors import (
 )
 
 
+def _node_count(n) -> int:
+    if n < 1 or int(n) != n:
+        raise InvalidParameterError("n must be a positive integer")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class EpsSisParams:
     """Parameters of the self-exciting SIS process on the complete graph.
@@ -52,9 +58,7 @@ class EpsSisParams:
     eps: object = 0
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise InvalidParameterError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _node_count(self.n))
         object.__setattr__(self, "beta", as_number(self.beta))
         object.__setattr__(self, "delta", as_number(self.delta))
         object.__setattr__(self, "eps", as_number(self.eps))
@@ -85,8 +89,8 @@ class EpsSisParams:
 
     @classmethod
     def from_x(cls, n, x, delta, eps=0) -> "EpsSisParams":
-        x, delta = as_number(x), as_number(delta)
-        return cls(n=n, beta=x * delta / int(n), delta=delta, eps=eps)
+        n, x, delta = _node_count(n), as_number(x), as_number(delta)
+        return cls(n=n, beta=x * delta / n, delta=delta, eps=eps)
 
 
 # ---------------------------------------------------------------------------

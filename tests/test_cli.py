@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -241,6 +242,14 @@ class TestValidateCommand:
         ["lifetime", "--n", "5", "--x", "2", "--precision-bits", "0"],
         ["lifetime", "--n", "5", "--x", "1/2", "--precision-bits", "32"],
         ["regimes", "--n-min", "4", "--n-max", "8", "--n-step", "0", "--x-values", "2"],
+        ["decay", "--n", "0", "--x", "2"],
+        ["lifetime", "--n", "0", "--x", "2"],
+        ["simulate", "--n", "0", "--x", "1"],
+        ["sweep", "--n-values", "4,x", "--x-values", "2"],
+        ["sweep", "--n-values", "4", "--x-values", "2,abc"],
+        ["sweep", "--n-values", "4", "--x-values", "1/0"],
+        ["regimes", "--n-values", "4", "--x-values", "abc"],
+        ["sweep", "--n-min", "5", "--n-max", "4", "--x-values", "2"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -250,3 +259,30 @@ def test_bad_flag_values_are_usage_errors(argv, capsys):
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "regimes"])
+def test_empty_n_range_is_named(command, capsys):
+    assert main([command, "--n-min", "5", "--n-max", "4", "--x-values", "2"]) == 2
+    assert capsys.readouterr().err == "error: --n-min 5 --n-max 4: empty range\n"
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# Each file holds the stdout of its argv, written once by a known-good build.
+GOLDEN = [
+    ("sweep_eps0.csv", ["sweep", "--n-min", "4", "--n-max", "30", "--x-values", "1/2,1,2,3",
+                        "--eps", "0"]),
+    ("sweep_eps1e-5.csv", ["sweep", "--n-min", "4", "--n-max", "30", "--x-values", "1/2,1,2,3",
+                           "--eps", "1e-5"]),
+    ("decay_n100_x1-2.json", ["decay", "--n", "100", "--x", "1/2"]),
+    ("decay_n200_x1.json", ["decay", "--n", "200", "--x", "1"]),
+    ("decay_n300_x2.json", ["decay", "--n", "300", "--x", "2"]),
+    ("decay_n400_x3.json", ["decay", "--n", "400", "--x", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_output_matches_golden_file(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / name).read_bytes()

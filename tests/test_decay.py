@@ -25,6 +25,7 @@ from bdecay import (
     required_precision,
     restrict_transient,
 )
+from bdecay import decay
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum, sturm_zeta
 from conftest import rational_ladders
@@ -112,13 +113,6 @@ class TestExactZeta:
         z = exact_zeta(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
         assert -1e-10 < float(z) < 0
 
-    def test_rational_exact_mode(self):
-        ladder = RateLadder(up=[Fraction(1, 2)], down=[Fraction(1, 3)], mode=GENERATOR)
-        ctx = PrecisionCtx(mode="rational-exact", mantissa_bits=64)
-        z = exact_zeta(ladder, ctx, tol=Fraction(1, 10**12))
-        assert isinstance(z, Fraction)
-        assert abs(z + Fraction(5, 6)) < Fraction(1, 10**11)
-
     @settings(max_examples=10, deadline=None)
     @given(rational_ladders(min_states=3, max_states=9))
     def test_agrees_with_dense_oracle(self, ladder):
@@ -131,14 +125,11 @@ class TestExactZeta:
 
 
 def assert_matches_sturm(ladder, ctx):
-    """exact_zeta and the Sturm referee agree to 10 tol and keep the mode's type."""
+    """exact_zeta and the Sturm referee agree to 10 tol, both as mpf."""
     z = exact_zeta(ladder, ctx)
     ref = sturm_zeta(ladder, ctx)
-    if ctx.mode == "rational-exact":
-        assert isinstance(z, Fraction)
-        assert abs(z - ref) <= 10 * ctx.default_tol
-        return
     assert isinstance(z, mpmath.mpf)
+    assert isinstance(ref, mpmath.mpf)
     with mp.workprec(ctx.mantissa_bits):
         assert abs(z - ref) <= 10 * to_mpf(ctx.default_tol)
 
@@ -186,29 +177,21 @@ class TestPerronAgainstSturm:
         sub = restrict_transient(build_eps_sis_ladder(n, x / n, 1, 0))
         assert_matches_sturm(sub, PrecisionCtx(mantissa_bits=required_precision(n, x)))
 
-    @settings(max_examples=15, deadline=None)
-    @given(rational_ladders(min_states=2, max_states=5))
-    def test_rational_exact_mode(self, ladder):
-        assert_matches_sturm(ladder, PrecisionCtx(mode="rational-exact", mantissa_bits=64))
-
-    @pytest.mark.parametrize("mode", ["float", "rational-exact"])
-    def test_reducible_subgenerator_takes_least_block(self, mode):
+    @pytest.mark.parametrize("ctx", [PrecisionCtx(mantissa_bits=64)], ids=["float"])
+    def test_reducible_subgenerator_takes_least_block(self, ctx):
         # zero up-rates cut M into 1-state blocks; the least one is not first
         sub = restrict_transient(RateLadder(up=[0, 0, 0], down=[6, 2, 4], mode=GENERATOR))
-        ctx = PrecisionCtx(mode=mode, mantissa_bits=64)
         assert exact_zeta(sub, ctx) == -2
         assert_matches_sturm(sub, ctx)
 
-    @pytest.mark.parametrize("mode", ["float", "rational-exact"])
-    def test_closed_transient_class_is_precision_exhausted(self, mode):
+    @pytest.mark.parametrize("ctx", [PrecisionCtx(mantissa_bits=64)], ids=["float"])
+    def test_closed_transient_class_is_precision_exhausted(self, ctx):
         # states 1 and 2 of the sub-generator never exit: M is singular
         sub = RateLadder(up=[1, 1], down=[0, 1], mode=GENERATOR, loss0=1)
-        ctx = PrecisionCtx(mode=mode, mantissa_bits=64)
         with pytest.raises(PrecisionExhaustedError):
             exact_zeta(sub, ctx)
         with pytest.raises(PrecisionExhaustedError):
             sturm_zeta(sub, ctx)
-
 
     def test_tolerance_below_rounding_is_precision_exhausted(self):
         # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins
@@ -217,8 +200,11 @@ class TestPerronAgainstSturm:
             down=[Fraction(j % 5 + 2, 7) for j in range(30)],
             mode=GENERATOR,
         )
-        with pytest.raises(PrecisionExhaustedError):
-            exact_zeta(ladder, PrecisionCtx(mantissa_bits=64), tol=Fraction(1, 10**60))
+        down, up = decay._m_matrix_rates(ladder)
+        with mp.workprec(64), pytest.raises(PrecisionExhaustedError):
+            decay._smallest_eigenvalue(
+                [to_mpf(r) for r in down], [to_mpf(r) for r in up], mp.mpf("1e-60")
+            )
 
 
 class TestRequiredPrecision:

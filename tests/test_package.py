@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import shutil
@@ -12,6 +13,7 @@ import bdecay
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted(p for p in (SRC / "bdecay").glob("*.py") if p.name != "__init__.py")
 
 
 def _env():
@@ -47,3 +49,27 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True, env=_env()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _module_level_imports(tree):
+    """(bound name, line) of each import at module level, `if` blocks included."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If):
+            stack.extend(node.body + node.orelse)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _module_level_imports(tree)
+              if name not in used]
+    assert not unused, f"unused imports in {module.name}: {unused}"

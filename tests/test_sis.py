@@ -52,6 +52,11 @@ class TestParams:
         with pytest.raises(InvalidParameterError):
             EpsSisParams(**base)
 
+    @pytest.mark.parametrize("n", [0, -2, Fraction(5, 2)])
+    def test_from_x_rejects_bad_node_count_before_dividing(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+            EpsSisParams.from_x(n, 2, 1)
+
 
 class TestClosedFormCoefficients:
     def test_coeff0_limit_is_one(self):
