@@ -14,8 +14,6 @@ from numbers import Rational
 import mpmath
 from mpmath import mp
 
-Number = object  # Fraction | int | float | mpmath.mpf
-
 
 def is_exact(x) -> bool:
     """True when x is an exact rational (int or Fraction)."""

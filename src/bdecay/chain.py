@@ -160,6 +160,14 @@ def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
     return RateLadder(up=up, down=down, mode=GENERATOR)
 
 
+def _product_weights(ladder: RateLadder) -> list:
+    """Product-form weights w_j = prod_{m<j} p_m / q_{m+1}, j = 0..N (sum: f_0)."""
+    weights = [Fraction(1) if ladder.exact else 1.0]
+    for p, q in zip(ladder.up, ladder.down):
+        weights.append(weights[-1] * p / q)
+    return weights
+
+
 def steady_state(ladder: RateLadder) -> SteadyState:
     """Product-form stationary distribution.
 
@@ -169,10 +177,7 @@ def steady_state(ladder: RateLadder) -> SteadyState:
         raise ReducibleChainError("a restricted sub-generator has no stationary distribution")
     if ladder.reducible:
         raise ReducibleChainError("steady state requires an irreducible ladder")
-    n = ladder.n_states
-    weights = [Fraction(1) if ladder.exact else 1.0]
-    for j in range(n - 1):
-        weights.append(weights[-1] * ladder.up[j] / ladder.down[j])
+    weights = _product_weights(ladder)
     total = sum(weights)
     return SteadyState(pi=tuple(w / total for w in weights))
 

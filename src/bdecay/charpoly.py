@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import RateLadder
-from ._numbers import is_exact
+from .chain import RateLadder, _product_weights
 from .errors import (
     DegenerateCoefficientsError,
     InsufficientCoefficientsError,
@@ -182,17 +181,12 @@ class CharCoeffs:
     """Characteristic coefficients f_0..f_kmax of a ladder.
 
     `complete` marks a full vector (kmax = N), required for the Newton power
-    sums.  `table` is the underlying coefficient table (embedded ladder).
+    sums.
     """
 
     f: tuple
     n: int  # degree N of the full polynomial
     complete: bool
-    table: CoeffTable
-
-    @property
-    def exact(self) -> bool:
-        return all(is_exact(v) for v in self.f)
 
 
 def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
@@ -216,13 +210,7 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
         raise ValueError(f"kmax must lie in [0, N] = [0, {N}]")
     table = coefficient_table(ladder, kmax)
     one = Fraction(1) if base.exact else 1.0
-    f0 = one * 0
-    w = one
-    for k in range(N + 1):
-        f0 = f0 + w
-        if k < N:
-            w = w * base.up[k] / base.down[k]
-    f = [f0]
+    f = [sum(_product_weights(base))]
     for k in range(1, kmax + 1):
         s = one * 0
         dq = one
@@ -231,7 +219,7 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
             if j >= k:
                 s = s + table.c(k, j) / dq
         f.append(s)
-    return CharCoeffs(f=tuple(f), n=N, complete=(kmax == N), table=table)
+    return CharCoeffs(f=tuple(f), n=N, complete=(kmax == N))
 
 
 def rho_eval(table: CoeffTable, j: int, xi):

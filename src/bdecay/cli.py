@@ -67,9 +67,17 @@ def _json_value(value, exact: bool = False):
     return float(f"{f:.17g}")
 
 
+def _open_out(path: str):
+    """Open an output file for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -343,7 +351,7 @@ def cmd_simulate(args) -> int:
         "rng": result.metadata,
     }
     if args.samples_out:
-        with open(args.samples_out, "w", encoding="utf-8") as fh:
+        with _open_out(args.samples_out) as fh:
             fh.write(_meta_line("n/a", seed_policy=f"philox(seed={result.seed})"))
             fh.write("run,t\n")
             for i, t in enumerate(result.times):

@@ -19,7 +19,7 @@ in `oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -76,7 +76,6 @@ class DecayReport:
     zeta_newton_bound: object
     ordering_ok: bool
     precision_bits: int
-    coeffs: CharCoeffs = field(repr=False, default=None)
 
 
 def lagrange_zeta(coeffs: CharCoeffs, order: int):
@@ -238,6 +237,36 @@ def _smallest_eigenvalue(down, up, tol):
     return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 
+def _decay_index(ladder: RateLadder) -> int:
+    """Rank of the decay parameter among the eigenvalues, smallest first:
+    n for a restricted sub-generator, n - 1 for an irreducible ladder.
+    Raises ReducibleChainError for any other ladder or a single-state chain.
+    """
+    if ladder.reducible and not ladder.is_subgenerator:
+        raise ReducibleChainError(
+            "exact_zeta needs an irreducible ladder or a restricted sub-generator"
+        )
+    k = ladder.n_states if ladder.is_subgenerator else ladder.n_states - 1
+    if k == 0:
+        raise ReducibleChainError("a single-state chain has no decay parameter")
+    return k
+
+
+def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
+    """Raise PrecisionExhaustedError when |zeta| <= max(tol, max out-rate
+    2^-(mantissa_bits - 24) n), the round-off floor at the working precision.
+    """
+    n = ladder.n_states
+    tol = to_mpf(ctx.default_tol)
+    scale = max(to_mpf(ladder.out_rate(j)) for j in range(n))
+    floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
+    if abs(zeta) <= floor:
+        raise PrecisionExhaustedError(
+            f"|zeta| <= resolution floor {mpmath.nstr(floor, 5)} "
+            f"at {ctx.mantissa_bits} bits; raise the precision"
+        )
+
+
 def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by shifted Perron iteration on the M-matrix -Q.
 
@@ -253,26 +282,14 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     (a transient class with no exit).
     """
     ctx = ctx or PrecisionCtx()
-    if ladder.reducible and not ladder.is_subgenerator:
-        raise ReducibleChainError(
-            "exact_zeta needs an irreducible ladder or a restricted sub-generator"
-        )
-    n = ladder.n_states
-    if n == 1 and not ladder.is_subgenerator:  # only the zero eigenvalue
-        raise ReducibleChainError("a single-state chain has no decay parameter")
+    _decay_index(ladder)  # raises for a ladder with no decay parameter
     down, up = _m_matrix_rates(ladder)
 
     with mp.workprec(ctx.mantissa_bits):
         tol = to_mpf(ctx.default_tol)
         bracket = _smallest_eigenvalue([to_mpf(r) for r in down], [to_mpf(r) for r in up], tol)
         zeta = -(bracket[0] + bracket[1]) / 2 if bracket else mp.zero
-        scale = max(to_mpf(ladder.out_rate(j)) for j in range(n))
-        floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
-        if abs(zeta) <= max(floor, tol):
-            raise PrecisionExhaustedError(
-                f"|zeta| <= resolution floor {mpmath.nstr(max(floor, tol), 5)} "
-                f"at {ctx.mantissa_bits} bits; raise the precision"
-            )
+        _check_resolved(zeta, ladder, ctx)
         return +zeta
 
 
@@ -300,5 +317,4 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
         zeta_newton_bound=nb,
         ordering_ok=ordering_ok,
         precision_bits=ctx.mantissa_bits,
-        coeffs=coeffs,
     )

@@ -4,6 +4,8 @@ event-driven stochastic simulation.
 
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
+Hitting times run on the Perron kernel's elimination, which shares nothing
+with the closed-form lifetime they referee.
 `sturm_zeta`, `dense_spectrum` and `transient_decay_fit` are not re-exported
 by the package; import them from this module.  numpy is imported inside the
 functions that use it, so importing the package does not load it.
@@ -20,14 +22,15 @@ from typing import TYPE_CHECKING
 from mpmath import mp
 
 from ._numbers import to_float, to_mpf
-from .chain import GENERATOR, RateLadder, steady_state
-from .decay import PrecisionCtx
-from .errors import (
-    InvalidParameterError,
-    PrecisionExhaustedError,
-    ReducibleChainError,
-    UnsupportedStructureError,
+from .chain import GENERATOR, RateLadder, restrict_transient, steady_state
+from .decay import (
+    PrecisionCtx,
+    _check_resolved,
+    _decay_index,
+    _m_matrix_rates,
+    _shifted_solve,
 )
+from .errors import InvalidParameterError, PrecisionExhaustedError, UnsupportedStructureError
 from .sis import EpsSisParams
 
 if TYPE_CHECKING:
@@ -89,51 +92,38 @@ def _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny):
     return (lo + hi) / 2
 
 
-def _eig_by_index(diag, offsq, k, tol, tiny):
-    """k-th smallest eigenvalue; bracket from Gershgorin discs, hi = 0."""
-    scale = max(abs(d) for d in diag) + max(offsq, default=0)
-    lo = -4 * scale - 1
+def _sturm_bracket(diag, offsq, tiny):
+    """(lo, hi) enclosing every eigenvalue: Gershgorin-sized, doubled until Sturm counts agree."""
+    scale = max(abs(d) for d in diag) + 1
+    lo = -4 * scale
     while sturm_count_below(diag, offsq, lo, tiny) > 0:
         lo *= 2
-    hi = lo * 0  # typed zero
-    return _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny)
+    hi = scale * 0 + 1  # generator shifts are <= 0; +1 margin is harmless
+    while sturm_count_below(diag, offsq, hi, tiny) < len(diag):
+        hi *= 2
+    return lo, hi
 
 
 def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by index-selected Sturm bisection (referee route).
 
-    Same contract as `decay.exact_zeta`.  Irreducible ladder: second-largest
-    eigenvalue; restricted sub-generator: largest eigenvalue, selected by
-    index, which stays correct when the decay parameter clusters
+    Same contract as `decay.exact_zeta`, with its admissibility checks,
+    eigenvalue index and round-off floor (`decay._decay_index`,
+    `decay._check_resolved`).  The index selects the second-largest
+    eigenvalue of an irreducible ladder and the largest of a restricted
+    sub-generator, which stays correct when the decay parameter clusters
     exponentially close to the zero eigenvalue.  Bisects in mpf arithmetic
-    at ctx.mantissa_bits to width <= ctx.default_tol, about
-    (mantissa_bits/2) O(n) sweeps.
-
-    Raises PrecisionExhaustedError when the located value is within the
-    round-off floor of 0.
+    at ctx.mantissa_bits to width <= ctx.default_tol inside the
+    `dense_spectrum` bracket, about (mantissa_bits/2) O(n) sweeps.
     """
     ctx = ctx or PrecisionCtx()
-    if ladder.reducible and not ladder.is_subgenerator:
-        raise ReducibleChainError(
-            "exact_zeta needs an irreducible ladder or a restricted sub-generator"
-        )
-    n = ladder.n_states
-    k = n if ladder.is_subgenerator else n - 1
-    if k == 0:  # 1-state irreducible generator: only the zero eigenvalue
-        raise ReducibleChainError("a single-state chain has no decay parameter")
-
+    k = _decay_index(ladder)
     with mp.workprec(ctx.mantissa_bits):
         diag, offsq = _sturm_arrays(ladder)
-        tol = to_mpf(ctx.default_tol)
         tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
-        zeta = _eig_by_index(diag, offsq, k, tol, tiny)
-        scale = max(abs(d) for d in diag)
-        floor = scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n
-        if abs(zeta) <= max(floor, tol):
-            raise PrecisionExhaustedError(
-                f"|zeta| <= resolution floor {mp.nstr(max(floor, tol), 5)} "
-                f"at {ctx.mantissa_bits} bits; raise the precision"
-            )
+        lo, hi = _sturm_bracket(diag, offsq, tiny)
+        zeta = _bisect_eigenvalue(diag, offsq, k, lo, hi, to_mpf(ctx.default_tol), tiny)
+        _check_resolved(zeta, ladder, ctx)
         return +zeta
 
 
@@ -154,13 +144,7 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
         diag, offsq = _sturm_arrays(ladder)
         tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
         tol = to_mpf(tol if tol is not None else ctx.default_tol)
-        scale = max(abs(d) for d in diag) + 1
-        lo = -4 * scale
-        while sturm_count_below(diag, offsq, lo, tiny) > 0:
-            lo *= 2
-        hi = scale * 0 + 1  # generator shifts are <= 0; +1 margin is harmless
-        while sturm_count_below(diag, offsq, hi, tiny) < n:
-            hi *= 2
+        lo, hi = _sturm_bracket(diag, offsq, tiny)
         eigs = []
         for k in range(1, n + 1):
             eigs.append(_bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny))
@@ -170,16 +154,14 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
 def hitting_time_solve(ladder: RateLadder):
     """Mean absorption times h_j = E[T | start j], j = 1..N, exactly.
 
-    The ladder must have its absorbing state at 0 (p_0 = 0, generator mode).
-    Solves the tri-diagonal system -Q_S h = 1 by subtraction-free
-    elimination; exact for rational rates, and float rates keep their
-    relative accuracy above threshold.  h_N equals the closed-form mean lifetime for the
-    complete-graph epidemic.
+    The ladder must have its absorbing state at 0 (p_0 = 0, generator mode)
+    or be restricted.  Solves -Q_S h = 1 by the Perron kernel's subtraction-
+    free elimination at shift 0 (`decay._shifted_solve`): exact for rational
+    rates, and float rates keep their relative accuracy above threshold.
+    Returns a tuple, () for a one-state ladder.  h_N equals the closed-form
+    mean lifetime for the complete-graph epidemic.
     """
-    if ladder.is_subgenerator:
-        base = ladder.embedded()
-    else:
-        base = ladder
+    base = ladder.embedded()
     if base.mode != GENERATOR or base.up_rate(0) != 0:
         raise UnsupportedStructureError("hitting times need an absorbing state 0")
     n = base.n_states - 1  # transient states 1..n
@@ -187,26 +169,9 @@ def hitting_time_solve(ladder: RateLadder):
         return ()
     if any(base.down_rate(j) == 0 for j in range(1, n + 1)):
         raise UnsupportedStructureError("a zero down-rate disconnects the transient class")
-    one = Fraction(1) if base.exact else 1.0
-    # rows j=1..n of -Q_S h = 1, eliminated in row-sum (GTH) form: r is the
-    # exit rate left after eliminating the rows below, d = r + p_j the pivot.
-    # Every term is positive, so float rates keep their digits.
-    sub = [base.down_rate(j) for j in range(1, n + 1)]       # q_j
-    sup = [base.up_rate(j) for j in range(1, n + 1)]         # p_j (p_n = 0)
-    r, g = sub[0], one
-    pivots, sums = [r + sup[0]], [g]
-    for i in range(1, n):
-        w = sub[i] / pivots[-1]
-        r = w * r
-        g = one + w * g
-        pivots.append(r + sup[i])
-        sums.append(g)
-    h = [one * 0 for _ in range(n)]
-    acc = one * 0
-    for i in range(n - 1, -1, -1):
-        acc = (sums[i] + sup[i] * acc) / pivots[i]
-        h[i] = acc
-    return tuple(h)
+    sub = ladder if ladder.is_subgenerator else restrict_transient(ladder)
+    down, up = _m_matrix_rates(sub)
+    return tuple(_shifted_solve(down, up, 0, [1] * n))
 
 
 @dataclass(frozen=True)

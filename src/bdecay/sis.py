@@ -222,16 +222,22 @@ class TaylorCoeffs:
 
 
 def _taylor_row(n: int):
-    """B_j(n) = sum_{k=j}^{n} (n-k+j-1)!/((n-k)! k) as exact Fractions."""
+    """B_j(n) = sum_{k=j}^{n} (n-k+j-1)!/((n-k)! k) as exact Fractions.
+
+    The rising products num_j(k) = (n-k+j-1)!/(n-k)! are carried from j - 1
+    to j, num_j(k) = num_{j-1}(k) (n-k+j-1), and each B_j is summed over the
+    common denominator lcm(1..n): O(n^2) integer products and one Fraction
+    per coefficient.
+    """
+    lcm = math.lcm(*range(1, n + 1))
+    share = [0] + [lcm // k for k in range(1, n + 1)]  # share[k] = lcm / k
+    num = [1] * (n + 1)  # num[k] = num_j(k), valid for k >= j
     row = []
     for j in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(j, n + 1):
-            num = 1
-            for i in range(1, j):
-                num *= n - k + i
-            s += Fraction(num, k)
-        row.append(s)
+        if j > 1:
+            for k in range(j, n + 1):
+                num[k] *= n - k + j - 1
+        row.append(Fraction(sum(num[k] * share[k] for k in range(j, n + 1)), lcm))
     return row
 
 
@@ -276,9 +282,9 @@ def taylor_coeffs(n: int, verify: bool = True) -> TaylorCoeffs:
     return TaylorCoeffs(n=n, B=tuple(row))
 
 
-def lifetime_taylor(n: int, tau, delta=1, verify: bool = False):
+def lifetime_taylor(n: int, tau, delta=1):
     """F(tau) through the Taylor coefficients; equals lifetime_direct exactly."""
-    return taylor_coeffs(n, verify=verify).lifetime(tau, delta)
+    return taylor_coeffs(n, verify=False).lifetime(tau, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,21 @@ def test_bad_flag_values_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--n", "5", "--x", "2", "--out"],
+        ["simulate", "--n", "3", "--tau", "1/2", "--runs", "5", "--samples-out"],
+    ],
+    ids=["decay-out", "simulate-samples-out"],
+)
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.out"
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "regimes"])
 def test_empty_n_range_is_named(command, capsys):
     assert main([command, "--n-min", "5", "--n-max", "4", "--x-values", "2"]) == 2

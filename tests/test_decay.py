@@ -101,16 +101,25 @@ class TestExactZeta:
         with mp.workprec(128):
             assert abs(z + (2 - mp.sqrt(2))) < 1e-12
 
-    def test_reducible_unrestricted_rejected(self):
-        with pytest.raises(ReducibleChainError):
-            exact_zeta(build_eps_sis_ladder(3, 1, 1, 0))
+    # the contract tests run the production kernel and its Sturm referee,
+    # which share the admissibility and round-off-floor rules
+    @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
+    def test_reducible_unrestricted_rejected(self, zeta_fn):
+        with pytest.raises(ReducibleChainError, match="^exact_zeta needs an irreducible ladder"):
+            zeta_fn(build_eps_sis_ladder(3, 1, 1, 0))
 
-    def test_precision_exhausted_on_tiny_eigenvalue(self):
+    @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
+    def test_single_state_chain_rejected(self, zeta_fn):
+        with pytest.raises(ReducibleChainError, match="^a single-state chain has no decay"):
+            zeta_fn(RateLadder(up=[], down=[], mode=GENERATOR))
+
+    @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
+    def test_precision_exhausted_on_tiny_eigenvalue(self, zeta_fn):
         # x = 3, n = 60: |zeta| ~ 5e-12 sits below the 64-bit resolution floor
         sub = restrict_transient(build_eps_sis_ladder(60, Fraction(3, 60), 1, 0))
-        with pytest.raises(PrecisionExhaustedError):
-            exact_zeta(sub, PrecisionCtx(mantissa_bits=64))
-        z = exact_zeta(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
+        with pytest.raises(PrecisionExhaustedError, match=r"resolution floor .* at 64 bits;"):
+            zeta_fn(sub, PrecisionCtx(mantissa_bits=64))
+        z = zeta_fn(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
         assert -1e-10 < float(z) < 0
 
     @settings(max_examples=10, deadline=None)

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from bdecay import (
     GENERATOR,
     EpsSisParams,
@@ -18,6 +20,7 @@ from bdecay import (
     survival_log_slope,
 )
 from bdecay.oracle import dense_spectrum, transient_decay_fit
+from conftest import positive_rates
 
 
 def harmonic(n):
@@ -57,7 +60,29 @@ class TestDenseSpectrum:
             dense_spectrum(big)
 
 
+@st.composite
+def absorbing_ladders(draw):
+    """Ladders absorbing at 0 with up to 10 transient states; interior up-rates may vanish."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    up_rates = st.one_of(st.just(Fraction(0)), positive_rates)
+    up = [Fraction(0)] + draw(st.lists(up_rates, min_size=n - 1, max_size=n - 1))
+    down = draw(st.lists(positive_rates, min_size=n, max_size=n))
+    return RateLadder(up=up, down=down, mode=GENERATOR)
+
+
 class TestHittingTimes:
+    @settings(max_examples=50, deadline=None)
+    @given(absorbing_ladders())
+    def test_solves_generator_system_exactly(self, ladder):
+        # -Q_S h = 1 on the transient states 1..n, Q_S cut from the dense Q
+        h = hitting_time_solve(ladder)
+        q = ladder.to_dense()
+        n = ladder.n_states - 1
+        assert len(h) == n
+        for i in range(1, n + 1):
+            assert -sum(q[i][j] * h[j - 1] for j in range(1, n + 1)) == 1
+        assert hitting_time_solve(restrict_transient(ladder)) == h
+
     def test_two_node_first_step_values(self):
         h = hitting_time_solve(build_eps_sis_ladder(2, 1, 1, 0))
         assert h == (Fraction(3, 2), Fraction(2))

@@ -73,3 +73,34 @@ def test_module_level_imports_are_used(module):
     unused = [f"{name} (line {line})" for name, line in _module_level_imports(tree)
               if name not in used]
     assert not unused, f"unused imports in {module.name}: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, line) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_private_definitions_are_referenced():
+    # a private helper nothing reads is a leftover of a refactor
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in (SRC / "bdecay").glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{module}: {name} (line {line})" for module, tree in sorted(trees.items())
+              for name, line in _private_definitions(tree) if name not in read]
+    assert not unread, f"private definitions nothing references: {unread}"

@@ -149,11 +149,17 @@ class TestTaylorCoeffs:
 
         assert _taylor_row_alternating(3)[1] == Fraction(3, 2) - Fraction(1, 6) == Fraction(4, 3)
 
+    def test_row_equals_alternating_form(self):
+        from bdecay.sis import _taylor_row, _taylor_row_alternating
+
+        for n in range(1, 41):
+            assert _taylor_row(n) == _taylor_row_alternating(n), n
+
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 30])
     def test_first_coefficient_is_harmonic(self, n):
         assert taylor_coeffs(n).B[0] == harmonic(n)
 
-    @pytest.mark.parametrize("n", [1, 4, 9, 21])
+    @pytest.mark.parametrize("n", [1, 4, 9, 21, 300])
     def test_lifetime_from_series_is_exact(self, n):
         for tau in (Fraction(1, 2 * n), Fraction(3, n), Fraction(0)):
             assert lifetime_taylor(n, tau, Fraction(2)) == lifetime_direct(n, tau, Fraction(2))
