@@ -5,7 +5,7 @@ number of infected nodes.  With no self-infection the healthy state absorbs,
 and the relevant rate is the largest eigenvalue of the transient block: the
 decay parameter.  This script builds the chain, extracts the characteristic
 coefficients, and compares the series estimates and bounds with the exact
-bisection value.
+value from the shifted Perron iteration.
 """
 
 from fractions import Fraction
@@ -45,6 +45,6 @@ print(f"  series, order 1      : {float(report.zeta_lagrange[1]):+.12f}")
 print(f"  series, order 2      : {float(report.zeta_lagrange[2]):+.12f}")
 print(f"  series, order 3      : {float(report.zeta_lagrange[3]):+.12f}")
 print(f"  power-sum upper bound: {float(report.zeta_newton_bound):+.12f}")
-print(f"  exact (bisection)    : {float(report.zeta_exact):+.12f}")
+print(f"  exact (Perron)       : {float(report.zeta_exact):+.12f}")
 print(f"\nordering exact <= bound <= order-1 holds: {report.ordering_ok}")
 print(f"working precision: {report.precision_bits} bits")

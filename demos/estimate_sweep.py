@@ -11,10 +11,7 @@ Writes sweep.csv next to this script and prints a digest.
 import pathlib
 from fractions import Fraction
 
-from mpmath import mp
-
 from bdecay import EpsSisParams, PrecisionCtx, decay_report, required_precision
-from bdecay._numbers import to_mpf
 
 EPS = Fraction(1, 100000)  # small self-infection keeps the chain irreducible
 X_VALUES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
@@ -27,11 +24,9 @@ for n in N_VALUES:
     for x in X_VALUES:
         ladder = EpsSisParams.from_tau(n, x / n, 1, EPS).ladder()
         rep = decay_report(ladder, ctx)
-        with mp.workprec(bits):
-            z = rep.zeta_exact
-            rel2 = float(abs((to_mpf(rep.zeta_lagrange[2]) - z) / z))
-            reln = float(abs((rep.zeta_newton_bound - z) / z))
-        rows.append((n, float(x), float(z), rel2, reln))
+        rel2 = float(rep.relative_error(rep.zeta_lagrange[2]))
+        reln = float(rep.relative_error(rep.zeta_newton_bound))
+        rows.append((n, float(x), float(rep.zeta_exact), rel2, reln))
 
 out = pathlib.Path(__file__).with_name("sweep.csv")
 with out.open("w") as fh:

@@ -20,7 +20,6 @@ from .chain import (
     GENERATOR,
     STOCHASTIC,
     RateLadder,
-    SteadyState,
     build_eps_sis_ladder,
     restrict_transient,
     steady_state,
@@ -67,7 +66,6 @@ from .sis import (
     EpsSisParams,
     LifetimeReport,
     RegimeEstimate,
-    TaylorCoeffs,
     decay_regime,
     exp_integral,
     lifetime_asymptotic,
@@ -83,7 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # chain
-    "GENERATOR", "STOCHASTIC", "RateLadder", "SteadyState", "build_eps_sis_ladder",
+    "GENERATOR", "STOCHASTIC", "RateLadder", "build_eps_sis_ladder",
     "restrict_transient", "steady_state",
     # charpoly
     "CharCoeffs", "CoeffTable", "NewtonSums", "char_coeffs", "coefficient_table",
@@ -99,7 +97,7 @@ __all__ = [
     # oracle
     "GillespieResult", "gillespie_simulate", "hitting_time_solve", "survival_log_slope",
     # sis
-    "EpsSisParams", "LifetimeReport", "RegimeEstimate", "TaylorCoeffs", "decay_regime",
+    "EpsSisParams", "LifetimeReport", "RegimeEstimate", "decay_regime",
     "exp_integral", "lifetime_asymptotic", "lifetime_direct", "lifetime_expint",
     "lifetime_taylor", "mean_absorption_time", "taylor_coeffs",
     "weighted_expint_integral",

@@ -128,17 +128,22 @@ class RateLadder:
         )
 
 
-@dataclass(frozen=True)
-class SteadyState:
-    """Stationary distribution pi_0..pi_N of an irreducible ladder."""
+def _node_count(n) -> int:
+    """n as an int; anything but a positive integer is an InvalidParameterError."""
+    if n < 1 or int(n) != n:
+        raise InvalidParameterError("n must be a positive integer")
+    return int(n)
 
-    pi: tuple
 
-    def __getitem__(self, j):
-        return self.pi[j]
-
-    def __len__(self):
-        return len(self.pi)
+def _sis_inputs(n, beta, delta, eps):
+    """(n, beta, delta, eps) of the epidemic on K_n, checked and canonicalised."""
+    n = _node_count(n)
+    beta, delta, eps = as_number(beta), as_number(delta), as_number(eps)
+    if beta <= 0 or delta <= 0:
+        raise InvalidParameterError("beta and delta must be positive")
+    if eps < 0:
+        raise InvalidParameterError("eps must be nonnegative")
+    return n, beta, delta, eps
 
 
 def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
@@ -147,14 +152,7 @@ def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
     Up-rates (beta*j + eps)*(n - j), down-rates j*delta on states 0..n.
     With eps = 0 state 0 is absorbing and the ladder is reducible.
     """
-    beta, delta, eps = as_number(beta), as_number(delta), as_number(eps)
-    if n < 1 or int(n) != n:
-        raise InvalidParameterError("n must be a positive integer")
-    if beta <= 0 or delta <= 0:
-        raise InvalidParameterError("beta and delta must be positive")
-    if eps < 0:
-        raise InvalidParameterError("eps must be nonnegative")
-    n = int(n)
+    n, beta, delta, eps = _sis_inputs(n, beta, delta, eps)
     up = tuple((beta * j + eps) * (n - j) for j in range(n))
     down = tuple(j * delta for j in range(1, n + 1))
     return RateLadder(up=up, down=down, mode=GENERATOR)
@@ -168,8 +166,9 @@ def _product_weights(ladder: RateLadder) -> list:
     return weights
 
 
-def steady_state(ladder: RateLadder) -> SteadyState:
-    """Product-form stationary distribution.
+def steady_state(ladder: RateLadder) -> tuple:
+    """Product-form stationary distribution (pi_0, ..., pi_N) of an
+    irreducible ladder.
 
     pi_j proportional to prod_{m<j} p_m / q_{m+1}; exact for exact rates.
     """
@@ -179,7 +178,7 @@ def steady_state(ladder: RateLadder) -> SteadyState:
         raise ReducibleChainError("steady state requires an irreducible ladder")
     weights = _product_weights(ladder)
     total = sum(weights)
-    return SteadyState(pi=tuple(w / total for w in weights))
+    return tuple(w / total for w in weights)
 
 
 def restrict_transient(ladder: RateLadder) -> RateLadder:

@@ -178,15 +178,15 @@ def diag_band_coeffs(ladder: RateLadder, m: int):
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """Characteristic coefficients f_0..f_kmax of a ladder.
-
-    `complete` marks a full vector (kmax = N), required for the Newton power
-    sums.
-    """
+    """Characteristic coefficients f_0..f_kmax of a ladder."""
 
     f: tuple
     n: int  # degree N of the full polynomial
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """True for the full vector f_0..f_N, which the Newton power sums need."""
+        return len(self.f) == self.n + 1
 
 
 def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
@@ -219,7 +219,7 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
             if j >= k:
                 s = s + table.c(k, j) / dq
         f.append(s)
-    return CharCoeffs(f=tuple(f), n=N, complete=(kmax == N))
+    return CharCoeffs(f=tuple(f), n=N)
 
 
 def rho_eval(table: CoeffTable, j: int, xi):

@@ -83,9 +83,9 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _add_model_flags(sub, rate_required=True):
+def _add_model_flags(sub):
     sub.add_argument("--n", type=int, required=True, help="number of nodes / top state")
-    group = sub.add_mutually_exclusive_group(required=rate_required)
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=_rational, help="infection rate per link")
     group.add_argument("--tau", type=_rational, help="effective infection rate beta/delta")
     group.add_argument("--x", type=_rational, help="threshold units: tau = x/n")
@@ -222,18 +222,13 @@ def cmd_sweep(args) -> int:
                 if args.eps == 0:
                     ladder = restrict_transient(ladder)
                 report = decay_report(ladder, ctx)
-                with mpmath.mp.workprec(bits):
-                    z = report.zeta_exact
-                    l2 = report.zeta_lagrange[2]
-                    nb = report.zeta_newton_bound
-                    rel2 = abs((to_mpf(l2) - z) / z)
-                    reln = abs((nb - z) / z)
+                l2, nb = report.zeta_lagrange[2], report.zeta_newton_bound
                 row.update(
-                    zeta_exact=_fmt(z),
+                    zeta_exact=_fmt(report.zeta_exact),
                     zeta_lagrange2=_fmt(l2, args.exact),
                     zeta_newton=_fmt(nb),
-                    rel_err_lagrange2=_fmt(rel2),
-                    rel_err_newton=_fmt(reln),
+                    rel_err_lagrange2=_fmt(report.relative_error(l2)),
+                    rel_err_newton=_fmt(report.relative_error(nb)),
                 )
                 if not report.ordering_ok:
                     row["error"] = "bound-ordering violated"

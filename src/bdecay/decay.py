@@ -77,6 +77,11 @@ class DecayReport:
     ordering_ok: bool
     precision_bits: int
 
+    def relative_error(self, estimate):
+        """|estimate - zeta_exact| / |zeta_exact| as an mpf at precision_bits."""
+        with mp.workprec(self.precision_bits):
+            return abs((to_mpf(estimate) - self.zeta_exact) / self.zeta_exact)
+
 
 def lagrange_zeta(coeffs: CharCoeffs, order: int):
     """Series inversion of the characteristic polynomial around xi = 0:

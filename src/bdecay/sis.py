@@ -26,21 +26,14 @@ from fractions import Fraction
 from mpmath import mp
 
 from ._numbers import as_number, is_exact, to_float, to_mpf
-from .chain import RateLadder, build_eps_sis_ladder
+from .chain import RateLadder, _node_count, _sis_inputs, build_eps_sis_ladder
 from .errors import (
     DivergentIntegralError,
     DomainError,
-    InconsistentCoefficientsError,
     InvalidParameterError,
     PrecisionExhaustedError,
     QuadratureFailureError,
 )
-
-
-def _node_count(n) -> int:
-    if n < 1 or int(n) != n:
-        raise InvalidParameterError("n must be a positive integer")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -58,14 +51,9 @@ class EpsSisParams:
     eps: object = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _node_count(self.n))
-        object.__setattr__(self, "beta", as_number(self.beta))
-        object.__setattr__(self, "delta", as_number(self.delta))
-        object.__setattr__(self, "eps", as_number(self.eps))
-        if self.beta <= 0 or self.delta <= 0:
-            raise InvalidParameterError("beta and delta must be positive")
-        if self.eps < 0:
-            raise InvalidParameterError("eps must be nonnegative")
+        checked = _sis_inputs(self.n, self.beta, self.delta, self.eps)
+        for name, value in zip(("n", "beta", "delta", "eps"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def tau(self):
@@ -178,8 +166,7 @@ def lifetime_direct(n: int, tau, delta=1):
     x_1 = 1, x_{j+1} = x_j (n-j) tau + 1;  F = (1/delta) sum_j x_j / j.
     Never forms raw factorials, so it is overflow-free at any n.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
+    n = _node_count(n)
     tau, delta = as_number(tau), as_number(delta)
     if tau < 0:
         raise InvalidParameterError("tau must be nonnegative")
@@ -203,22 +190,6 @@ def lifetime_double_sum(n: int, tau, delta=1):
             ratio *= n - j + r + 1
         total = total + term / j
     return total / delta
-
-
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """Taylor coefficients B_1..B_n of beta*F(tau); B_1 is the harmonic number."""
-
-    n: int
-    B: tuple
-
-    def lifetime(self, tau, delta=1):
-        """F(tau) = (1/delta) sum_j B_j tau^{j-1} from the stored coefficients."""
-        tau, delta = as_number(tau), as_number(delta)
-        total = tau * 0
-        for j in range(self.n, 0, -1):  # Horner in tau
-            total = total * tau + self.B[j - 1]
-        return total / delta
 
 
 def _taylor_row(n: int):
@@ -255,36 +226,27 @@ def _taylor_row_alternating(n: int):
     return row
 
 
-def taylor_coeffs(n: int, verify: bool = True) -> TaylorCoeffs:
-    """Exact Taylor coefficients of beta*F(tau).
+def taylor_coeffs(n: int) -> tuple:
+    """Exact Taylor coefficients (B_1, ..., B_n) of beta*F(tau) from the
+    defining sum; B_1 is the harmonic number H_n.
 
-    With verify=True the defining sum is checked against the alternating
-    binomial form and against the size recursion
+    `validate.check_taylor_identities` checks them against the alternating
+    binomial form and the size recursion
     B_{j+1}(n) = B_{j+1}(n-1) + j B_j(n) - (n-1)!/(n-j)!, exactly.
     """
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
-    row = _taylor_row(n)
-    if verify:
-        alt = _taylor_row_alternating(n)
-        if row != alt:
-            raise InconsistentCoefficientsError("Taylor coefficient forms disagree")
-        if n >= 2:
-            prev = _taylor_row(n - 1) + [Fraction(0)]
-            for j in range(1, n):
-                want = prev[j] + j * row[j - 1] - Fraction(
-                    math.factorial(n - 1), math.factorial(n - j)
-                )
-                if row[j] != want:
-                    raise InconsistentCoefficientsError(
-                        f"size recursion fails at j={j + 1}, n={n}"
-                    )
-    return TaylorCoeffs(n=n, B=tuple(row))
+    return tuple(_taylor_row(_node_count(n)))
 
 
 def lifetime_taylor(n: int, tau, delta=1):
-    """F(tau) through the Taylor coefficients; equals lifetime_direct exactly."""
-    return taylor_coeffs(n, verify=False).lifetime(tau, delta)
+    """F(tau) = (1/delta) sum_j B_j tau^{j-1}, by Horner's rule in tau on
+    `taylor_coeffs(n)`; equals lifetime_direct exactly.
+    """
+    coeffs = taylor_coeffs(n)
+    tau, delta = as_number(tau), as_number(delta)
+    total = tau * 0
+    for b in reversed(coeffs):
+        total = total * tau + b
+    return total / delta
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +372,8 @@ def lifetime_expint(n: int, tau, delta=1) -> float:
     valid for tau > 1/n; practical up to n ~ 40 before the factorial scaling
     exhausts double precision.
     """
+    n = _node_count(n)
     tau_f, delta_f = to_float(tau), to_float(delta)
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
     if tau_f * n <= 1.0:
         raise DomainError("exponential-integral form needs tau > 1/n")
     beta = tau_f * delta_f
@@ -460,6 +421,9 @@ REGIME_BELOW = "below"
 REGIME_AT = "at"
 REGIME_ABOVE = "above"
 
+# |x - 1| <= THRESHOLD_BAND counts as at threshold
+THRESHOLD_BAND = 1e-6
+
 
 @dataclass(frozen=True)
 class RegimeEstimate:
@@ -483,10 +447,10 @@ def _regime(x_f: float, band: float) -> str:
     return REGIME_BELOW
 
 
-def decay_regime(n: int, x, delta=1, band: float = 1e-6) -> RegimeEstimate:
-    """Classify x against the threshold (|x-1| <= band counts as 'at') and
-    return the leading estimate of -zeta: 1/F above, 5 delta/(4n) at, and the
-    order marker delta/ln(n) below.
+def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
+    """Classify x against the threshold (|x-1| <= THRESHOLD_BAND counts as
+    'at') and return the leading estimate of -zeta: 1/F above, 5 delta/(4n)
+    at, and the order marker delta/ln(n) below.
     """
     if n < 2:
         raise InvalidParameterError("regime classification needs n >= 2")
@@ -494,7 +458,7 @@ def decay_regime(n: int, x, delta=1, band: float = 1e-6) -> RegimeEstimate:
     x_f = to_float(x_n)
     if x_f <= 0:
         raise InvalidParameterError("x must be positive")
-    regime = _regime(x_f, band)
+    regime = _regime(x_f, THRESHOLD_BAND)
     if regime == REGIME_ABOVE:
         tau = x_n / n if is_exact(x_n) else x_f / n
         return RegimeEstimate(
@@ -523,9 +487,13 @@ class LifetimeReport:
     f_taylor: object
     f_expint: float | None
     f_asymptotic: float | None
-    e_t: object
     regime: str
     max_pairwise_relative_gap: float
+
+    @property
+    def e_t(self):
+        """E[T] from the all-infected state, which is F(tau) = f_direct."""
+        return self.f_direct
 
 
 def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
@@ -548,7 +516,7 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
             expint = None
     asym = lifetime_asymptotic(n, params.x, delta) if x > 1.0 else None
     # classify without decay_regime, which would compute a second exact lifetime
-    regime = _regime(x, 1e-6 if n >= 2 else 0.0)
+    regime = _regime(x, THRESHOLD_BAND if n >= 2 else 0.0)
     values = [to_float(direct), to_float(taylor)]
     if expint is not None:
         values.append(expint)
@@ -565,7 +533,6 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
         f_taylor=taylor,
         f_expint=expint,
         f_asymptotic=asym,
-        e_t=direct,
         regime=regime,
         max_pairwise_relative_gap=gap,
     )

@@ -69,7 +69,7 @@ def check_steady_state_balance(level: str):
     trials = 10 if level == "quick" else 30
     for _ in range(trials):
         ladder = _rand_ladder(rng, rng.randint(2, 9))
-        pi = chain.steady_state(ladder).pi
+        pi = chain.steady_state(ladder)
         for j in range(ladder.n_states - 1):
             if pi[j] * ladder.up[j] != pi[j + 1] * ladder.down[j]:
                 return False, f"global balance broken at j={j}"
@@ -100,11 +100,22 @@ def check_coefficient_cross(level: str):
 
 
 def check_taylor_identities(level: str):
+    """B_j(n) from the defining sum equals the alternating binomial form,
+    obeys the size recursion B_{j+1}(n) = B_{j+1}(n-1) + j B_j(n) -
+    (n-1)!/(n-j)! and has B_1 = H_n, exactly."""
     n_top = 12 if level == "quick" else 30
+    prev = ()  # B(n-1) padded with B_n(n-1) = 0
     for n in range(1, n_top + 1):
-        coeffs = sis.taylor_coeffs(n, verify=True)  # raises on mismatch
-        if coeffs.B[0] != sum(Fraction(1, k) for k in range(1, n + 1)):
+        row = sis.taylor_coeffs(n)
+        if list(row) != sis._taylor_row_alternating(n):
+            return False, f"alternating form disagrees at n={n}"
+        for j in range(1, n):
+            drop = Fraction(math.factorial(n - 1), math.factorial(n - j))
+            if row[j] != prev[j] + j * row[j - 1] - drop:
+                return False, f"size recursion fails at j={j + 1}, n={n}"
+        if row[0] != sum(Fraction(1, k) for k in range(1, n + 1)):
             return False, f"B_1({n}) != H_{n}"
+        prev = row + (0,)
     return True, f"coefficient identities exact up to n={n_top}"
 
 

@@ -47,11 +47,11 @@ from bdecay import (
     restrict_transient,
     rho_eval,
     survival_log_slope,
-    taylor_coeffs,
     weighted_expint_integral,
 )
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum
+from bdecay.validate import check_taylor_identities
 from conftest import symmetrize
 
 TAU_RULES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))  # x values
@@ -98,10 +98,8 @@ def _estimate_sweep_rows():
             tau = x / n
             ladder = EpsSisParams.from_tau(n, tau, Fraction(1), eps).ladder()
             rep = decay_report(ladder, ctx)
-            with mp.workprec(bits):
-                z = rep.zeta_exact
-                rel2 = abs((to_mpf(rep.zeta_lagrange[2]) - z) / z)
-                reln = abs((rep.zeta_newton_bound - z) / z)
+            rel2 = rep.relative_error(rep.zeta_lagrange[2])
+            reln = rep.relative_error(rep.zeta_newton_bound)
             rows.append((n, x, rep.ordering_ok, float(rel2), float(reln)))
     return rows
 
@@ -223,10 +221,15 @@ def test_05_lifetime_four_way_agreement():
 
 def test_06_taylor_coefficient_identities():
     t0 = time.monotonic()
-    for n in range(1, 31):
-        coeffs = taylor_coeffs(n, verify=True)  # def == alternating == recursion
-        assert coeffs.B[0] == sum(Fraction(1, k) for k in range(1, n + 1))
-    report("06", True, "three coefficient forms equal exactly for n <= 30; B_1 = H_n", t0, 10.0)
+    # n <= 30: defining sum == alternating form == size recursion, and B_1 = H_n
+    ok, detail = check_taylor_identities("full")
+    report(
+        "06",
+        ok,
+        "three coefficient forms equal exactly for n <= 30; B_1 = H_n" if ok else detail,
+        t0,
+        10.0,
+    )
 
 
 def test_07_hitting_time_equals_lifetime():

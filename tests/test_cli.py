@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import pathlib
@@ -19,6 +21,7 @@ from bdecay import (
 )
 from bdecay import decay
 from bdecay.cli import _json_value, main
+from bdecay.validate import run_suite
 
 
 def run_cli(args):
@@ -118,6 +121,19 @@ class TestSweepCommand:
         assert rc == 0
         assert len(lines) == 2 + 57 * 4
 
+    @pytest.mark.parametrize("strict,want_rc", [(False, 0), (True, 1)])
+    def test_failed_row_fills_the_error_column(self, strict, want_rc, capsys):
+        argv = ["sweep", "--n-values", "4,60", "--x-values", "3", "--precision-bits", "64"]
+        rc = main(argv + (["--strict"] if strict else []))
+        captured = capsys.readouterr()
+        assert rc == want_rc
+        assert captured.err == "warning: 1 row(s) failed; see the error column\n"
+        rows = list(csv.DictReader(io.StringIO(captured.out.split("\n", 1)[1])))
+        assert [row["n"] for row in rows] == ["4", "60"]
+        assert rows[0]["error"] == "" and rows[0]["zeta_exact"] != ""
+        assert rows[1]["error"].startswith("|zeta| <= resolution floor ")
+        assert rows[1]["zeta_exact"] == ""
+
     def test_row_order_deterministic(self, capsys):
         rc = main(["sweep", "--n-values", "6,4", "--x-values", "3,0.5",
                    "--eps", "1e-5"])
@@ -183,6 +199,27 @@ class TestRegimesCommand:
         assert regimes == ["below", "at", "above"]
 
 
+    def test_json_rows_match_csv(self, capsys):
+        argv = ["regimes", "--n-values", "2,50", "--x-values", "0.5,1,2"]
+        assert main(argv) == 0
+        csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["rows"]
+        assert len(payload["rows"]) == 6
+        assert [{k: str(v) for k, v in row.items()} for row in payload["rows"]] == csv_rows
+
+
+@pytest.mark.parametrize("command", ["decay", "lifetime"])
+def test_unresolved_zeta_exits_3(command, capsys):
+    rc = main([command, "--n", "60", "--x", "3", "--precision-bits", "64"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: |zeta| <= resolution floor ")
+    assert captured.err.endswith(" at 64 bits; raise the precision\n")
+
+
 class TestSimulateCommand:
     def test_summary_and_reproducibility(self, capsys):
         args = ["simulate", "--n", "4", "--tau", "0.1", "--runs", "500", "--seed", "9"]
@@ -214,6 +251,13 @@ class TestValidateCommand:
         assert out["failed"] == 0
         assert out["first_failure"] is None
         assert any(c["name"] == "bound-ordering" for c in out["checks"])
+
+    def test_full_suite_passes_every_check(self):
+        summary = run_suite("full")
+        failed = [(c["name"], c["detail"]) for c in summary["checks"] if not c["ok"]]
+        assert failed == []
+        names = {c["name"] for c in summary["checks"]}
+        assert {"zeta-lifetime-product", "gillespie-mean"} <= names
 
     def test_injected_fault_names_bound_ordering(self, monkeypatch, capsys):
         char_coeffs = decay.char_coeffs

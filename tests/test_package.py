@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import shutil
@@ -104,3 +106,56 @@ def test_private_definitions_are_referenced():
     unread = [f"{module}: {name} (line {line})" for module, tree in sorted(trees.items())
               for name, line in _private_definitions(tree) if name not in read]
     assert not unread, f"private definitions nothing references: {unread}"
+
+
+def _defaulted_parameters():
+    """(callee name, parameter, position) of each defaulted parameter of the
+    public surface: functions in __all__, and public methods and dataclass
+    fields of its classes.  Position counts from the first argument a call
+    spells out, so self and cls are left out."""
+    for name in bdecay.__all__:
+        obj = getattr(bdecay, name)
+        if inspect.isfunction(obj):
+            callables = [(name, obj)]
+        elif inspect.isclass(obj):
+            callables = [(attr, getattr(obj, attr)) for attr, raw in vars(obj).items()
+                         if not attr.startswith("_")
+                         and isinstance(raw, (types.FunctionType, classmethod, staticmethod))]
+            if dataclasses.is_dataclass(obj):
+                callables.append((name, obj))
+        else:
+            continue
+        for callee, fn in callables:
+            params = list(inspect.signature(fn).parameters.values())
+            if params and params[0].name in ("self", "cls"):
+                params = params[1:]
+            for pos, param in enumerate(params):
+                if param.default is not inspect.Parameter.empty:
+                    yield callee, param.name, pos
+
+
+def _calls_outside_tests():
+    """callee name -> list of (positional count, keyword names, spreads) of
+    each call in the package, the demos and the benchmark."""
+    calls = {}
+    files = [*(SRC / "bdecay").glob("*.py"), *DEMOS, *(ROOT / "perfbench").glob("*.py")]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spreads = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            calls.setdefault(callee, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, spreads))
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # an option that only tests set is a configuration nothing ships
+    calls = _calls_outside_tests()
+    unset = [f"{callee}({param})" for callee, param, pos in _defaulted_parameters()
+             if not any(n_pos > pos or param in keywords or spreads
+                        for n_pos, keywords, spreads in calls.get(callee, []))]
+    assert not unset, f"defaulted parameters no caller passes: {unset}"

@@ -11,6 +11,7 @@ from bdecay import (
     DomainError,
     EpsSisParams,
     InvalidParameterError,
+    QuadratureFailureError,
     char_coeffs,
     decay_regime,
     exp_integral,
@@ -56,6 +57,22 @@ class TestParams:
     def test_from_x_rejects_bad_node_count_before_dividing(self, n):
         with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
             EpsSisParams.from_x(n, 2, 1)
+
+
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 0], ids=str)
+@pytest.mark.parametrize(
+    "route,args",
+    [
+        (lifetime_direct, (0.1,)),
+        (taylor_coeffs, ()),
+        (lifetime_taylor, (0.1,)),
+        (lifetime_expint, (1.0,)),
+    ],
+    ids=["lifetime_direct", "taylor_coeffs", "lifetime_taylor", "lifetime_expint"],
+)
+def test_lifetime_routes_reject_bad_node_count(route, args, n):
+    with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+        route(n, *args)
 
 
 class TestClosedFormCoefficients:
@@ -141,7 +158,7 @@ class TestLifetimeDirect:
 
 class TestTaylorCoeffs:
     def test_three_nodes(self):
-        assert taylor_coeffs(3).B == (Fraction(11, 6), Fraction(4, 3), Fraction(2, 3))
+        assert taylor_coeffs(3) == (Fraction(11, 6), Fraction(4, 3), Fraction(2, 3))
 
     def test_alternating_form_example(self):
         # j = 2, n = 3: (1!)^2 [C(3,2) 0!/2! - C(3,3) 1!/3!] = 3/2 - 1/6
@@ -157,7 +174,7 @@ class TestTaylorCoeffs:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 30])
     def test_first_coefficient_is_harmonic(self, n):
-        assert taylor_coeffs(n).B[0] == harmonic(n)
+        assert taylor_coeffs(n)[0] == harmonic(n)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 21, 300])
     def test_lifetime_from_series_is_exact(self, n):
@@ -355,6 +372,20 @@ class TestMeanAbsorptionTime:
         rep = mean_absorption_time(EpsSisParams.from_x(40, x, 1, 0))
         assert len(calls) == 1
         assert rep.regime == regime == decay_regime(40, x).regime
+
+    def test_failed_quadrature_leaves_expint_out_of_the_gap(self, monkeypatch):
+        from bdecay import sis
+
+        def failing(*args, **kwargs):
+            raise QuadratureFailureError("forced failure", error_estimate=1.0)
+
+        params = EpsSisParams.from_tau(12, Fraction(1, 4), 1, 0)
+        monkeypatch.setattr(sis, "lifetime_expint", failing)
+        rep = mean_absorption_time(params)
+        assert rep.f_expint is None
+        direct, asym = float(rep.f_direct), rep.f_asymptotic
+        assert rep.f_taylor == rep.f_direct
+        assert rep.max_pairwise_relative_gap == abs(direct - asym) / max(abs(direct), abs(asym))
 
     def test_methods_agree_tightly_on_their_domains(self):
         rep = mean_absorption_time(EpsSisParams.from_tau(12, Fraction(1, 4), 1, 0))
