@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_decay)
 
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 
@@ -409,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--precision-bits", type=int, default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_lifetime)
 
@@ -433,13 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-s", type=float, default=60.0)
     p.add_argument("--samples-out", default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 
     p = subs.add_parser("validate", help="run the invariant suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_validate)
 

@@ -318,50 +318,48 @@ def _exp_integral_scaled(n: int, w: float) -> float:
     return h
 
 
-def _quad(f, a, b, points=None):
-    """scipy adaptive Gauss-Kronrod with an explicit error-estimate gate."""
+# QUADPACK's relative tolerance (with no absolute floor) and the gate on its
+# returned error estimate
+_QUAD_RTOL = 1e-10
+
+
+def _quad(f):
+    """scipy adaptive Gauss-Kronrod over [0, inf), held to _QUAD_RTOL."""
     from scipy import integrate
 
-    kwargs = dict(limit=200, epsabs=1e-13, epsrel=1e-12)
-    if points is not None:
-        kwargs["points"] = points
-    val, err = integrate.quad(f, a, b, **kwargs)
-    if err > 1e-10 * max(1.0, abs(val)):
+    val, err = integrate.quad(f, 0.0, math.inf, limit=200, epsabs=0.0, epsrel=_QUAD_RTOL)
+    if err > _QUAD_RTOL * abs(val):
         raise QuadratureFailureError(
             f"quadrature error estimate {err:.3e} exceeds tolerance", error_estimate=err
         )
     return val
 
 
-def weighted_expint_integral(tau, k: int) -> float:
-    """L_k(tau) = int_0^inf e^w E_k(w) / (w + 1/tau)^k dw by adaptive quadrature.
+def _expint_moment(order: int, power: int, a: float) -> float:
+    """int_0^inf e^w E_order(w) (w + a)^-power dw, the one expint integrand.
 
-    k = 1 uses the equivalent form int_0^inf ln(u) e^{-u/tau}/(u-1) du with the
-    removable point u = 1 expanded locally.
+    The factor (w + a)^-power underflows to 0 for large w.  It overflows only
+    if a < 1 and a^-power leaves the double range, which raises
+    PrecisionExhaustedError.
     """
+
+    def f(w):
+        return _exp_integral_scaled(order, w) * (w + a) ** -power
+
+    try:
+        return _quad(f)
+    except OverflowError as exc:
+        raise PrecisionExhaustedError("expint integrand exceeds double range") from exc
+
+
+def weighted_expint_integral(tau, k: int) -> float:
+    """L_k(tau) = int_0^inf e^w E_k(w) / (w + 1/tau)^k dw by adaptive quadrature."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     tau = to_float(tau)
     if tau <= 0:
         raise DomainError("tau must be positive")
-    if k == 1:
-        inv = 1.0 / tau
-
-        def g(u):
-            v = u - 1.0
-            ratio = 1.0 - v / 2.0 + v * v / 3.0 if abs(v) < 1e-7 else math.log(u) / v
-            return ratio * math.exp(-u * inv)
-
-        return _quad(g, 0.0, 2.0, points=[1.0]) + _quad(g, 2.0, math.inf)
-    inv = 1.0 / tau
-
-    def f(w):
-        den = (w + inv) ** k
-        if den == math.inf:
-            return 0.0
-        return _exp_integral_scaled(k, w) / den
-
-    return _quad(f, 0.0, math.inf)
+    return _expint_moment(k, k, 1.0 / tau)
 
 
 def lifetime_expint(n: int, tau, delta=1) -> float:
@@ -369,30 +367,21 @@ def lifetime_expint(n: int, tau, delta=1) -> float:
 
         beta F = n! sum_{k=1}^{n+1} L_k/(n+1-k)! - int_0^inf e^w E_{n+1}(w)/(w+1/tau) dw,
 
-    valid for tau > 1/n; practical up to n ~ 40 before the factorial scaling
-    exhausts double precision.
+    valid for tau > 1/n; practical up to n ~ 170.  Beyond that the weight n!
+    leaves the double range and PrecisionExhaustedError is raised.
     """
     n = _node_count(n)
     tau_f, delta_f = to_float(tau), to_float(delta)
     if tau_f * n <= 1.0:
         raise DomainError("exponential-integral form needs tau > 1/n")
-    beta = tau_f * delta_f
-    total = 0.0
-    for k in range(1, n + 2):
-        try:
-            scale = math.factorial(n) / math.factorial(n + 1 - k)
-        except OverflowError as exc:
-            raise PrecisionExhaustedError(
-                "factorial scaling exceeds double range; use the direct form"
-            ) from exc
-        total += scale * weighted_expint_integral(tau_f, k)
     inv = 1.0 / tau_f
-
-    def g(w):
-        return _exp_integral_scaled(n + 1, w) / (w + inv)
-
-    total -= _quad(g, 0.0, math.inf)
-    val = total / beta
+    total = 0.0
+    scale = 1.0  # n!/(n+1-k)!
+    for k in range(1, n + 2):
+        total += scale * _expint_moment(k, k, inv)
+        scale *= n + 1 - k
+    total -= _expint_moment(n + 1, 1, inv)
+    val = total / (tau_f * delta_f)
     if not math.isfinite(val):
         raise PrecisionExhaustedError("dynamic range exhausted in the expint form")
     return val
@@ -403,6 +392,7 @@ def lifetime_asymptotic(n: int, x, delta=1) -> float:
 
         (1/delta) x sqrt(2 pi) / (x-1)^2 * exp(n (ln x + 1/x - 1)) / sqrt(n).
     """
+    n = _node_count(n)
     x_f, delta_f = to_float(x), to_float(delta)
     if x_f <= 1.0:
         raise DomainError("asymptotic lifetime requires x > 1")
@@ -452,6 +442,7 @@ def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
     'at') and return the leading estimate of -zeta: 1/F above, 5 delta/(4n)
     at, and the order marker delta/ln(n) below.
     """
+    n = _node_count(n)
     if n < 2:
         raise InvalidParameterError("regime classification needs n >= 2")
     x_n, delta_n = as_number(x), as_number(delta)

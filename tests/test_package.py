@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -11,6 +12,7 @@ import types
 import pytest
 
 import bdecay
+from bdecay.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -159,3 +161,20 @@ def test_every_defaulted_parameter_has_a_caller():
              if not any(n_pos > pos or param in keywords or spreads
                         for n_pos, keywords, spreads in calls.get(callee, []))]
     assert not unset, f"defaulted parameters no caller passes: {unset}"
+
+
+def _cli_options(parser, command="bdecay"):
+    """(command, option strings, choices) of each option of the CLI."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _cli_options(sub, f"{command} {name}")
+        elif action.option_strings:
+            yield command, "/".join(action.option_strings), action.choices
+
+
+def test_no_cli_option_offers_a_single_choice():
+    # a flag with one allowed value is a setting nobody can change
+    single = [f"{command} {option}" for command, option, choices in _cli_options(build_parser())
+              if choices is not None and len(choices) == 1]
+    assert not single, f"options with a single choice: {single}"

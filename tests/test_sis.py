@@ -11,6 +11,7 @@ from bdecay import (
     DomainError,
     EpsSisParams,
     InvalidParameterError,
+    PrecisionExhaustedError,
     QuadratureFailureError,
     char_coeffs,
     decay_regime,
@@ -59,7 +60,7 @@ class TestParams:
             EpsSisParams.from_x(n, 2, 1)
 
 
-@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 0], ids=str)
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 0, -3], ids=str)
 @pytest.mark.parametrize(
     "route,args",
     [
@@ -67,8 +68,12 @@ class TestParams:
         (taylor_coeffs, ()),
         (lifetime_taylor, (0.1,)),
         (lifetime_expint, (1.0,)),
+        (lifetime_asymptotic, (2,)),
+        (decay_regime, (Fraction(1, 2),)),
+        (decay_regime, (1,)),
     ],
-    ids=["lifetime_direct", "taylor_coeffs", "lifetime_taylor", "lifetime_expint"],
+    ids=["lifetime_direct", "taylor_coeffs", "lifetime_taylor", "lifetime_expint",
+         "lifetime_asymptotic", "decay_regime-below", "decay_regime-at"],
 )
 def test_lifetime_routes_reject_bad_node_count(route, args, n):
     with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
@@ -219,6 +224,20 @@ class TestExpIntegral:
                     val = mp.exp(x) * exp_integral(n, x, bits=80)
                     assert 1 / (x + n) < val <= 1 / (x + n - 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 41, 101, 171])
+    def test_scaled_double_evaluator_matches_exp_integral(self, k):
+        # the quadrature's e^w E_k(w): scipy up to w = 200, Lentz beyond.  The
+        # reference at w = 1e4 takes seconds (E_1 at ~14,500 bits), so only the
+        # highest order goes that far.
+        from bdecay.sis import _exp_integral_scaled
+
+        ws = [1e-6, 1e-3, 0.1, 1.0, 10.0, 50.0, 150.0, 199.9, 200.0, 200.1, 250.0, 1e3]
+        for w in ws + ([1e4] if k == 171 else []):
+            with mp.workprec(80):
+                ref = mp.exp(w) * exp_integral(k, w, bits=80)
+            got = _exp_integral_scaled(k, w)
+            assert abs(got - ref) <= 1e-14 * ref, (k, w)
+
 
 class TestWeightedExpintIntegral:
     @pytest.mark.parametrize("tau", [0.1, 0.3, 0.5])
@@ -229,6 +248,16 @@ class TestWeightedExpintIntegral:
             assert cur < tau ** (k - 1) / (k - 1) ** 2
             assert cur < tau * prev
             prev = cur
+
+    def test_high_order_underflows_instead_of_overflowing(self):
+        tau, k = 0.5, 120
+        val = weighted_expint_integral(tau, k)
+        assert 0 < val < tau ** (k - 1) / (k - 1) ** 2
+
+    def test_integrand_beyond_double_range_is_precision_exhausted(self):
+        # 1/tau = 0.01, and 0.01^-171 overflows a double
+        with pytest.raises(PrecisionExhaustedError):
+            weighted_expint_integral(100.0, 171)
 
     @pytest.mark.parametrize("tau", [0.1, 0.3, 0.5, 0.9])
     def test_first_integral_bracket(self, tau):
@@ -261,19 +290,31 @@ class TestLaplaceTransformForm:
         assert abs(outer / beta - want) / want < 1e-6
 
 
+# (n, x): the benchmark's referee grid, then sizes up to the factorial limit
+# n ~ 170
+EXPINT_GRID = [(n, x) for x in (Fraction(3, 2), Fraction(2), Fraction(3)) for n in range(5, 41, 5)]
+EXPINT_GRID += [(60, Fraction(3)), (100, Fraction(2)), (150, Fraction(3)), (170, Fraction(3))]
+
+
 class TestLifetimeExpint:
     @pytest.mark.parametrize(
         "n,tau,rtol",
-        [(2, 0.8, 1e-8), (5, 0.5, 1e-8), (8, 0.3, 1e-6)],
+        [(2, 0.8, 1e-8), (5, 0.5, 1e-8), (8, 0.3, 1e-6)]
+        + [pytest.param(n, x / n, 1e-10, id=f"{n}-{x / n}-1e-10") for n, x in EXPINT_GRID],
     )
     def test_matches_direct(self, n, tau, rtol):
-        want = float(lifetime_direct(n, Fraction(tau).limit_denominator(10)))
+        exact = tau if isinstance(tau, Fraction) else Fraction(tau).limit_denominator(10)
+        want = float(lifetime_direct(n, exact))
         got = lifetime_expint(n, tau)
         assert abs(got - want) / want < rtol
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             lifetime_expint(10, 0.05)
+
+    def test_factorial_weight_beyond_double_range_is_precision_exhausted(self):
+        with pytest.raises(PrecisionExhaustedError):
+            lifetime_expint(200, Fraction(1, 50))
 
 
 class TestLifetimeAsymptotic:
