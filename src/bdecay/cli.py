@@ -51,6 +51,8 @@ def _fmt(value, exact: bool = False) -> str:
         return ""
     if exact and is_exact(value):
         return str(Fraction(value))
+    if is_exact(value) and abs(value) > sys.float_info.max:
+        value = to_mpf(value)
     if isinstance(value, mpmath.mpf):
         return mpmath.nstr(value, 17, strip_zeros=True)
     return f"{to_float(value):.17g}"
@@ -61,7 +63,7 @@ def _json_value(value, exact: bool = False):
         return value
     if exact:
         return _fmt(value, exact=True)
-    f = to_float(value)
+    f = math.inf if is_exact(value) and abs(value) > sys.float_info.max else to_float(value)
     if not math.isfinite(f) or (abs(f) < sys.float_info.min and value != 0):
         return _fmt(value)  # keep subnormal, underflowing and huge values as decimal strings
     return float(f"{f:.17g}")

@@ -7,14 +7,15 @@ eps = 0) is available through four independent routes:
 
   * lifetime_direct    - O(n) streaming recursion x_{j+1} = x_j (n-j) tau + 1
   * lifetime_taylor    - Taylor coefficients B_j of beta*F(tau)
-  * lifetime_expint    - exponential-integral representation (quadrature)
+  * lifetime_expint    - exponential-integral representation, in double
+                         precision on one exp-sinh quadrature rule
   * lifetime_asymptotic- large-n form for fixed x = n*tau > 1
 
 plus the literal double sum (lifetime_double_sum) kept as a test oracle.
 It and the closed-form coefficients char_coeff0, char_coeff1 and
 char_coeff2_limit cross-check the paper's formulas; they are not re-exported
-by the package, so import them from this module.  scipy is imported by the
-expint route only, when it runs.
+by the package, so import them from this module.  The module needs mpmath
+and the standard library only.
 """
 
 from __future__ import annotations
@@ -258,9 +259,9 @@ def exp_integral(n: int, x, bits: int = 53):
     """E_n(x) = int_1^inf e^{-x t} t^{-n} dt to `bits` of working precision.
 
     E_1 is evaluated by mpmath's series / continued-fraction kernel; higher
-    orders follow from the upward recursion E_{k+1} = (e^-x - x E_k)/k, run
-    with x*log2(e) guard bits to absorb its cancellation (the recursion loses
-    a factor ~x/k of accuracy per step while k < x).
+    orders follow from the upward recursion E_{k+1} = (e^-x - x E_k)/k.  That
+    step loses log2(x/k) bits while k < x, so the guard is their sum over
+    k < min(n, x) plus 32 bits.
     """
     if n < 1:
         raise InvalidParameterError("order n must be >= 1")
@@ -272,7 +273,8 @@ def exp_integral(n: int, x, bits: int = 53):
             raise DivergentIntegralError("E_1(0) diverges")
         with mp.workprec(bits):
             return mp.mpf(1) / (n - 1)
-    guard = int(1.4427 * to_float(x)) + 32
+    x_f = to_float(x)
+    guard = int(sum(math.log2(x_f / k) for k in range(1, min(n, math.ceil(x_f))))) + 32
     with mp.workprec(bits + guard):
         xm = to_mpf(x)
         val = mp.e1(xm)
@@ -283,124 +285,131 @@ def exp_integral(n: int, x, bits: int = 53):
         return +val
 
 
-def _exp_integral_scaled(n: int, w: float) -> float:
-    """e^w E_n(w) in double precision, stable for any w >= 0.
+_EULER_GAMMA = 0.5772156649015329
 
-    Small and moderate w go through scipy's expn; beyond exp overflow the
-    Lentz continued fraction for e^w E_n(w) is evaluated directly.
+
+def _scaled_orders(top: int, w: float) -> list:
+    """[e^w E_k(w) for k = 1..top] in double precision, for w > 0.
+
+    One seed, E_1 from its power series for w <= 1, else the Lentz continued
+    fraction at order k0 = min(top, ceil(w)); from it k g_{k+1} = 1 - w g_k
+    runs only in its stable direction (Gautschi 1967): upward for k >= w,
+    downward for k < w.
     """
-    if w == 0.0:
-        if n == 1:
-            raise DivergentIntegralError("E_1(0) diverges")
-        return 1.0 / (n - 1)
-    if w <= 200.0:
-        from scipy import special
-
-        return math.exp(w) * special.expn(n, w)
-    tiny = 1e-300
-    C = 1e300
-    D = 1.0 / (w + n)
-    h = D
-    for i in range(1, 500):
-        a = -i * (n - 1 + i)
-        b = w + n + 2 * i
-        D = b + a * D
-        if D == 0.0:
-            D = tiny
-        C = b + a / C
-        if C == 0.0:
-            C = tiny
-        D = 1.0 / D
-        delt = C * D
-        h *= delt
-        if abs(delt - 1.0) < 1e-15:
-            break
-    return h
+    g = [0.0] * (top + 1)  # g[k] = e^w E_k(w); g[0] is unused
+    if w <= 1.0:
+        k0 = 1
+        series = sum((-w) ** j / (j * math.factorial(j)) for j in range(1, 25))
+        g[1] = math.exp(w) * (-_EULER_GAMMA - math.log(w) - series)
+    else:
+        k0 = min(top, math.ceil(w))
+        C = 1e300
+        D = 1.0 / (w + k0)
+        g[k0] = D
+        for i in range(1, 500):
+            b = w + k0 + 2 * i
+            D = 1.0 / (b - i * (k0 - 1 + i) * D)
+            C = b - i * (k0 - 1 + i) / C
+            g[k0] *= C * D
+            if abs(C * D - 1.0) < 1e-15:
+                break
+    for k in range(k0, top):
+        g[k + 1] = (1.0 - w * g[k]) / k
+    for k in range(k0 - 1, 0, -1):
+        g[k] = (1.0 - k * g[k + 1]) / w
+    return g[1:]
 
 
-# QUADPACK's relative tolerance (with no absolute floor) and the gate on its
-# returned error estimate
-_QUAD_RTOL = 1e-10
-
-
-def _quad(f):
-    """scipy adaptive Gauss-Kronrod over [0, inf), held to _QUAD_RTOL."""
-    from scipy import integrate
-
-    val, err = integrate.quad(f, 0.0, math.inf, limit=200, epsabs=0.0, epsrel=_QUAD_RTOL)
-    if err > _QUAD_RTOL * abs(val):
-        raise QuadratureFailureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance", error_estimate=err
-        )
-    return val
-
-
-def _expint_moment(order: int, power: int, a: float) -> float:
-    """int_0^inf e^w E_order(w) (w + a)^-power dw, the one expint integrand.
-
-    The factor (w + a)^-power underflows to 0 for large w.  It overflows only
-    if a < 1 and a^-power leaves the double range, which raises
-    PrecisionExhaustedError.
+def _exp_sinh(f, scale: float) -> float:
+    """int_0^inf f(w) dw on the exp-sinh rule w = scale e^{pi/2 sinh t}, |t| <= 6
+    (Takahasi & Mori 1974).  The trapezoid step in t halves from 1 to 2^-8
+    until two sums agree to 1e-12 relative.
     """
 
-    def f(w):
-        return _exp_integral_scaled(order, w) * (w + a) ** -power
+    def weighted(t):
+        w = scale * math.exp(math.pi / 2 * math.sinh(t))
+        return f(w) * w * math.pi / 2 * math.cosh(t)
 
     try:
-        return _quad(f)
+        total = sum(weighted(t) for t in range(-6, 7))
+        for level in range(1, 9):
+            step = 2.0 ** -level
+            fresh = total / 2 + step * sum(weighted(j * step - 6) for j in range(1, 12 << level, 2))
+            if not math.isfinite(fresh):
+                raise PrecisionExhaustedError("expint integrand exceeds double range")
+            err = abs(fresh - total)
+            total = fresh
+            if err <= 1e-12 * abs(total):
+                return total
     except OverflowError as exc:
         raise PrecisionExhaustedError("expint integrand exceeds double range") from exc
+    raise QuadratureFailureError(f"exp-sinh sums still differ by {err:.3e}", error_estimate=err)
 
 
 def weighted_expint_integral(tau, k: int) -> float:
-    """L_k(tau) = int_0^inf e^w E_k(w) / (w + 1/tau)^k dw by adaptive quadrature."""
+    """L_k(tau) = int_0^inf e^w E_k(w) / (w + 1/tau)^k dw on the exp-sinh rule;
+    PrecisionExhaustedError where the integrand leaves the double range.
+    """
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     tau = to_float(tau)
     if tau <= 0:
         raise DomainError("tau must be positive")
-    return _expint_moment(k, k, 1.0 / tau)
+    a = 1.0 / tau
+    return _exp_sinh(lambda w: _scaled_orders(k, w)[-1] * (w + a) ** -k, a)
 
 
 def lifetime_expint(n: int, tau, delta=1) -> float:
-    """F(tau) from the exponential-integral representation
+    """F(tau) from the exponential-integral representation, with a = 1/tau,
 
-        beta F = n! sum_{k=1}^{n+1} L_k/(n+1-k)! - int_0^inf e^w E_{n+1}(w)/(w+1/tau) dw,
+        beta F = n! sum_{k=1}^{n+1} L_k/(n+1-k)! - int_0^inf e^w E_{n+1}(w)/(w+a) dw,
 
-    valid for tau > 1/n; practical up to n ~ 170.  Beyond that the weight n!
-    leaves the double range and PrecisionExhaustedError is raised.
+    summed under one integral on the exp-sinh rule, where the weight
+    n!/(n+1-k)! (w+a)^-k is a running product.  Valid for tau > 1/n wherever
+    beta F lies within the double range; beyond it PrecisionExhaustedError.
     """
     n = _node_count(n)
     tau_f, delta_f = to_float(tau), to_float(delta)
     if tau_f * n <= 1.0:
         raise DomainError("exponential-integral form needs tau > 1/n")
-    inv = 1.0 / tau_f
-    total = 0.0
-    scale = 1.0  # n!/(n+1-k)!
-    for k in range(1, n + 2):
-        total += scale * _expint_moment(k, k, inv)
-        scale *= n + 1 - k
-    total -= _expint_moment(n + 1, 1, inv)
-    val = total / (tau_f * delta_f)
+    a = 1.0 / tau_f
+
+    def integrand(w):
+        g = _scaled_orders(n + 1, w)
+        u = 1.0 / (w + a)
+        total = -g[n] * u
+        weight = u
+        for k in range(1, n + 2):
+            total += weight * g[k - 1]
+            weight *= (n + 1 - k) * u
+        return total
+
+    val = _exp_sinh(integrand, a) / (tau_f * delta_f)
     if not math.isfinite(val):
         raise PrecisionExhaustedError("dynamic range exhausted in the expint form")
     return val
 
 
-def lifetime_asymptotic(n: int, x, delta=1) -> float:
+def lifetime_asymptotic(n: int, x, delta=1) -> float | mp.mpf:
     """Large-n lifetime for fixed x = n*tau > 1:
 
         (1/delta) x sqrt(2 pi) / (x-1)^2 * exp(n (ln x + 1/x - 1)) / sqrt(n).
+
+    The exponential is taken in mpmath at double precision, whose exponent
+    range is unbounded: the result is a float where it fits the double range
+    and an mpf beyond it.
     """
     n = _node_count(n)
     x_f, delta_f = to_float(x), to_float(delta)
     if x_f <= 1.0:
         raise DomainError("asymptotic lifetime requires x > 1")
-    return (
-        (x_f * math.sqrt(2 * math.pi) / (x_f - 1) ** 2)
-        * math.exp(n * (math.log(x_f) + 1 / x_f - 1))
-        / (math.sqrt(n) * delta_f)
-    )
+    with mp.workprec(53):
+        val = (
+            (x_f * math.sqrt(2 * math.pi) / (x_f - 1) ** 2)
+            * mp.exp(n * (math.log(x_f) + 1 / x_f - 1))
+            / (math.sqrt(n) * delta_f)
+        )
+        return float(val) if math.isfinite(val) else val
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +486,7 @@ class LifetimeReport:
     f_direct: object
     f_taylor: object
     f_expint: float | None
-    f_asymptotic: float | None
+    f_asymptotic: float | mp.mpf | None
     regime: str
     max_pairwise_relative_gap: float
 
@@ -500,7 +509,7 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
     direct = lifetime_direct(n, tau, delta)
     taylor = lifetime_taylor(n, tau, delta)
     expint = None
-    if x > 1.0 and n <= 40:
+    if x > 1.0:
         try:
             expint = lifetime_expint(n, tau, delta)
         except (QuadratureFailureError, PrecisionExhaustedError):
@@ -508,17 +517,14 @@ def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
     asym = lifetime_asymptotic(n, params.x, delta) if x > 1.0 else None
     # classify without decay_regime, which would compute a second exact lifetime
     regime = _regime(x, THRESHOLD_BAND if n >= 2 else 0.0)
-    values = [to_float(direct), to_float(taylor)]
-    if expint is not None:
-        values.append(expint)
-    if asym is not None:
-        values.append(asym)
     gap = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            denom = max(abs(values[i]), abs(values[j]))
-            if denom > 0:
-                gap = max(gap, abs(values[i] - values[j]) / denom)
+    with mp.workprec(53):  # double precision, but mpmath's unbounded exponent range
+        values = [to_mpf(v) for v in (direct, taylor, expint, asym) if v is not None]
+        for i in range(len(values)):
+            for j in range(i + 1, len(values)):
+                denom = max(abs(values[i]), abs(values[j]))
+                if denom > 0:
+                    gap = max(gap, float(abs(values[i] - values[j]) / denom))
     return LifetimeReport(
         f_direct=direct,
         f_taylor=taylor,

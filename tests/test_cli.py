@@ -184,6 +184,18 @@ class TestLifetimeCommand:
         assert rc == 0
         assert out["zeta_f_residual"] < 1e-4
 
+    def test_lifetime_beyond_the_double_range(self, capsys):
+        # F ~ 7.6e314.  At x = 10 the default precision cannot resolve
+        # zeta ~ -1/F, so the zeta residual is asked for at 2400 bits.
+        rc = main(["lifetime", "--n", "520", "--x", "10", "--precision-bits", "2400"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        exact = lifetime_direct(520, Fraction(10, 520))
+        assert out["f_direct"] == out["f_taylor"] == out["e_t"]
+        assert abs(Fraction(out["e_t"]) - exact) <= exact / 2 ** 52
+        assert out["f_expint"] is None
+        assert abs(Fraction(out["f_asymptotic"]) / exact - 1) < 1e-3
+
     def test_nonzero_eps_rejected(self):
         proc = run_cli(["lifetime", "--n", "3", "--tau", "1", "--eps", "0.5"])
         assert proc.returncode == 2

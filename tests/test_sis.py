@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,12 +201,14 @@ class TestExpIntegral:
             exp_integral(1, 0)
 
     def test_matches_independent_evaluation(self):
-        for n in (1, 2, 7, 50, 200):
-            for x in (0.1, 1.0, 10.0, 100.0):
-                mine = exp_integral(n, x, bits=80)
-                with mp.workprec(200 + int(1.5 * x)):
-                    ref = mp.expint(n, x)
-                    assert abs(mine - ref) < mp.mpf(2) ** -70 * ref
+        # mpmath's expint(n, x) loses about 1.5 x bits for n > 1; for n = 1 it
+        # is e1, which needs no such guard
+        cases = [(n, x) for n in (1, 2, 7, 50, 200) for x in (0.1, 1.0, 10.0, 100.0)]
+        for n, x in cases + [(1, 1e4)]:
+            mine = exp_integral(n, x, bits=80)
+            with mp.workprec(200 + (int(1.5 * x) if n > 1 else 0)):
+                ref = mp.expint(n, x)
+                assert abs(mine - ref) < mp.mpf(2) ** -70 * ref
 
     def test_recursion_residual(self):
         for x in (0.1, 1.0, 10.0):
@@ -224,19 +227,18 @@ class TestExpIntegral:
                     val = mp.exp(x) * exp_integral(n, x, bits=80)
                     assert 1 / (x + n) < val <= 1 / (x + n - 1)
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 20, 41, 101, 171])
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 41, 101, 149, 150, 151, 171])
     def test_scaled_double_evaluator_matches_exp_integral(self, k):
-        # the quadrature's e^w E_k(w): scipy up to w = 200, Lentz beyond.  The
-        # reference at w = 1e4 takes seconds (E_1 at ~14,500 bits), so only the
-        # highest order goes that far.
-        from bdecay.sis import _exp_integral_scaled
+        # e^w E_k(w) as the quadrature sees it: order k of the full ladder up to
+        # 171, and order k at the top of its own ladder, whose seed differs
+        from bdecay.sis import _scaled_orders
 
-        ws = [1e-6, 1e-3, 0.1, 1.0, 10.0, 50.0, 150.0, 199.9, 200.0, 200.1, 250.0, 1e3]
-        for w in ws + ([1e4] if k == 171 else []):
+        ws = [1e-6, 1e-3, 0.1, 1.0, 1.5, 10.0, 50.0, 150.0, 199.9, 200.0, 200.1, 250.0, 1e3, 1e4]
+        for w in ws:
             with mp.workprec(80):
                 ref = mp.exp(w) * exp_integral(k, w, bits=80)
-            got = _exp_integral_scaled(k, w)
-            assert abs(got - ref) <= 1e-14 * ref, (k, w)
+            for got in (_scaled_orders(171, w)[k - 1], _scaled_orders(k, w)[-1]):
+                assert abs(got - ref) <= 1e-14 * ref, (k, w)
 
 
 class TestWeightedExpintIntegral:
@@ -272,7 +274,7 @@ class TestLaplaceTransformForm:
         # F(tau) = (1/beta) int_0^inf [ int_0^1 ((yu+1)^n - y^n)/((yu+1)-y) dy ]
         #          e^{-u/tau} du  -- quadrature cross-check only, never a
         # production path (the expint representation supersedes it)
-        from scipy import integrate
+        from mpmath import fp
 
         def inner(u):
             def g(y):
@@ -280,20 +282,29 @@ class TestLaplaceTransformForm:
                 den = (y * u + 1) - y
                 return num / den
 
-            val, _ = integrate.quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
-            return val * math.exp(-u / tau)
+            return fp.quad(g, [0.0, 1.0]) * math.exp(-u / tau)
 
-        outer, _ = integrate.quad(inner, 0.0, 80.0 * tau, limit=200,
-                                  epsabs=1e-12, epsrel=1e-10)
+        outer = fp.quad(inner, [0.0, 80.0 * tau])
         beta = tau  # delta = 1
         want = float(lifetime_direct(n, Fraction(tau).limit_denominator(10)))
         assert abs(outer / beta - want) / want < 1e-6
 
 
-# (n, x): the benchmark's referee grid, then sizes up to the factorial limit
-# n ~ 170
+# (n, x): the benchmark's referee grid, then larger sizes, where n! and the
+# weights n!/(n+1-k)! alone leave the double range but beta F does not
 EXPINT_GRID = [(n, x) for x in (Fraction(3, 2), Fraction(2), Fraction(3)) for n in range(5, 41, 5)]
 EXPINT_GRID += [(60, Fraction(3)), (100, Fraction(2)), (150, Fraction(3)), (170, Fraction(3))]
+EXPINT_GRID += [(200, Fraction(4)), (600, Fraction(3))]
+
+# (n, x) on which the expint route is held to 1e-13 wherever beta F fits a double
+TIGHT_SMALL = [
+    (n, x)
+    for n in range(2, 41)
+    for x in map(Fraction, ("1.001", "1.01", "1.1", "1.5", 2, 3, 5, 10, n, 2 * n, 10 * n))
+]
+TIGHT_LARGE = [
+    (n, Fraction(v)) for n in (50, 100, 200, 400, 700, 1000) for v in ("1.001", "1.1", "1.5", 2, 3, 10)
+]
 
 
 class TestLifetimeExpint:
@@ -312,9 +323,29 @@ class TestLifetimeExpint:
         with pytest.raises(DomainError):
             lifetime_expint(10, 0.05)
 
-    def test_factorial_weight_beyond_double_range_is_precision_exhausted(self):
+    def test_result_beyond_double_range_is_precision_exhausted(self):
+        # x = 100: beta F ~ e^723
         with pytest.raises(PrecisionExhaustedError):
-            lifetime_expint(200, Fraction(1, 50))
+            lifetime_expint(200, Fraction(1, 2))
+
+    def test_unresolved_integrand_is_a_quadrature_failure(self):
+        # a narrow peak away from the rule's scale: eight step halvings miss it
+        from bdecay.sis import _exp_sinh
+
+        with pytest.raises(QuadratureFailureError):
+            _exp_sinh(lambda w: 1 / (1e-3 + (w - 5) ** 2), 1.0)
+
+    @pytest.mark.parametrize("points", [TIGHT_SMALL, TIGHT_LARGE], ids=["small", "large"])
+    def test_matches_direct_tightly_wherever_beta_f_fits_a_double(self, points):
+        for n, x in points:
+            tau = x / n
+            want = lifetime_direct(n, tau)
+            if want * tau > sys.float_info.max:
+                with pytest.raises(PrecisionExhaustedError):
+                    lifetime_expint(n, tau)
+            else:
+                got = Fraction(lifetime_expint(n, tau))
+                assert abs(got - want) <= 1e-13 * want, (n, x)
 
 
 class TestLifetimeAsymptotic:
@@ -427,6 +458,20 @@ class TestMeanAbsorptionTime:
         direct, asym = float(rep.f_direct), rep.f_asymptotic
         assert rep.f_taylor == rep.f_direct
         assert rep.max_pairwise_relative_gap == abs(direct - asym) / max(abs(direct), abs(asym))
+
+    def test_expint_beyond_forty_nodes(self):
+        rep = mean_absorption_time(EpsSisParams.from_x(100, 2, 1, 0))
+        direct = float(rep.f_direct)
+        assert abs(rep.f_expint - direct) / direct < 1e-10
+
+    def test_lifetime_beyond_the_double_range(self):
+        # F ~ 7.6e314: no double holds beta F, and the asymptotic form is an mpf
+        rep = mean_absorption_time(EpsSisParams.from_x(520, 10, 1, 0))
+        assert rep.f_expint is None
+        assert rep.f_taylor == rep.f_direct
+        assert isinstance(rep.f_asymptotic, mp.mpf)
+        ratio = rep.f_asymptotic * rep.f_direct.denominator / rep.f_direct.numerator
+        assert rep.max_pairwise_relative_gap == pytest.approx(abs(1 - ratio) / max(1, ratio))
 
     def test_methods_agree_tightly_on_their_domains(self):
         rep = mean_absorption_time(EpsSisParams.from_tau(12, Fraction(1, 4), 1, 0))
