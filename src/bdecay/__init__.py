@@ -26,12 +26,10 @@ from .chain import (
 )
 from .charpoly import (
     CharCoeffs,
-    CoeffTable,
     NewtonSums,
     char_coeffs,
     coefficient_table,
     newton_sums,
-    rho_eval,
 )
 from .decay import (
     DecayReport,
@@ -84,8 +82,7 @@ __all__ = [
     "GENERATOR", "STOCHASTIC", "RateLadder", "build_eps_sis_ladder",
     "restrict_transient", "steady_state",
     # charpoly
-    "CharCoeffs", "CoeffTable", "NewtonSums", "char_coeffs", "coefficient_table",
-    "newton_sums", "rho_eval",
+    "CharCoeffs", "NewtonSums", "char_coeffs", "coefficient_table", "newton_sums",
     # decay
     "DecayReport", "PrecisionCtx", "decay_report", "exact_zeta", "lagrange_zeta",
     "newton_bound", "required_precision",

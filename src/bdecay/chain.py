@@ -15,6 +15,7 @@ state is kept as pure loss on the diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,6 +165,20 @@ def _product_weights(ladder: RateLadder) -> list:
     for p, q in zip(ladder.up, ladder.down):
         weights.append(weights[-1] * p / q)
     return weights
+
+
+def _rate_lattice(ladder: RateLadder):
+    """(D, P, Q): the rates of an exact ladder on their common denominator.
+
+    D is the lcm of the denominators of p_0..p_{N-1} and q_1..q_N, and
+    P_j = D p_j, Q_j = D q_j (j = 0..N, with P_N = Q_0 = 0) are ints.  A
+    polynomial in the rates that is homogeneous of degree d is then D^d
+    times the same polynomial in P and Q, with no Fraction arithmetic.
+    """
+    D = math.lcm(*(r.denominator for r in ladder.up + ladder.down))
+    P = [r.numerator * (D // r.denominator) for r in ladder.up] + [0]
+    Q = [0] + [r.numerator * (D // r.denominator) for r in ladder.down]
+    return D, P, Q
 
 
 def steady_state(ladder: RateLadder) -> tuple:

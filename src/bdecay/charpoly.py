@@ -15,14 +15,25 @@ ladder rates are exact.
 For a restricted sub-generator (loss0 > 0) the table is built on the embedded
 full ladder (p_0 = 0 re-attached), for which f_0 = 1 automatically: the zeros
 of sum f_k xi^k are then exactly the sub-generator eigenvalues.
+
+Exact coefficients are computed on an integer lattice.  The c_k(j)
+recursion has no subtraction and c_k(j) is homogeneous of degree j - k in
+the rates, so on the integer rates P = D p, Q = D q of `chain._rate_lattice`
+it yields the ints c'_k(j) = D^(j-k) c_k(j).  Then
+
+    f_k = D^k T_N / (Q_1 ... Q_N),    T_j = T_{j-1} Q_j + c'_k(j),  T_{k-1} = 0,
+
+so each f_k is one Fraction normalisation of an integer Horner sum, instead
+of a gcd of ever larger numbers at every step of the recursion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import RateLadder, _product_weights
+from .chain import RateLadder, _product_weights, _rate_lattice
 from .errors import (
     DegenerateCoefficientsError,
     InsufficientCoefficientsError,
@@ -65,6 +76,28 @@ class CoeffTable:
         return self._rows[k][j - k]
 
 
+def _coefficient_rows(p, q, kmax: int, one):
+    """Yield the rows (c_k(k), ..., c_k(N+1)) for k = 0..kmax, in the number
+    type of the rate arrays p_0..p_N and q_0..q_N (ints, Fractions, floats
+    or mpf), with c_k(k) = one.
+
+    Each row comes from the previous one by the pair of first-order
+    recursions of `coefficient_table`.
+    """
+    N = len(p) - 1
+    prev = None
+    for k in range(kmax + 1):
+        row = [one]
+        if k <= N:
+            b = q[k] + sum(p[m] + q[m] for m in range(k))  # b_k(k+1)
+            for j in range(k + 1, N + 2):
+                row.append(p[j - 1] * row[-1] + b)
+                if j <= N:
+                    b = q[j] * b + (prev[j - (k - 1)] if k >= 1 else 0)
+        yield row
+        prev = row
+
+
 def coefficient_table(ladder: RateLadder, kmax: int) -> CoeffTable:
     """Fill the coefficient table by the pair of first-order recursions
 
@@ -81,19 +114,8 @@ def coefficient_table(ladder: RateLadder, kmax: int) -> CoeffTable:
         raise ValueError(f"kmax must lie in [0, N+1] = [0, {N + 1}]")
     p, q = _pq(base)
     one = Fraction(1) if base.exact else 1.0
-    rows = []
-    prev = None
-    for k in range(kmax + 1):
-        row = [one]  # c_k(k) = 1
-        if k <= N:
-            b = q[k] + sum(p[m] + q[m] for m in range(k))  # b_k(k+1)
-            for j in range(k + 1, N + 2):
-                row.append(p[j - 1] * row[-1] + b)
-                if j <= N:
-                    b = q[j] * b + (prev[j - (k - 1)] if k >= 1 else 0)
-        rows.append(tuple(row))
-        prev = rows[-1]
-    return CoeffTable(ladder=base, kmax=kmax, _rows=tuple(rows))
+    rows = tuple(tuple(row) for row in _coefficient_rows(p, q, kmax, one))
+    return CoeffTable(ladder=base, kmax=kmax, _rows=rows)
 
 
 def _prod(seq, a, b):
@@ -194,7 +216,14 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
 
     f_0 is evaluated through the product form sum_k prod_{m<k} p_m/q_{m+1}
     (equal to 1/pi_0 for irreducible ladders and exactly 1 for restricted
-    sub-generators); higher f_k come from the coefficient table.
+    sub-generators); higher f_k come from the coefficient-table rows.  For an
+    exact ladder the rows run on the integer lattice of `chain._rate_lattice`
+    and each f_k is one Fraction of an integer Horner sum (module docstring);
+    float and mpf ladders sum c_k(j) / prod_{m<j} q_{m+1} term by term.
+
+    Raises ReducibleChainError for an unrestricted reducible ladder and for a
+    sub-generator with a zero interior down-rate q_j: the states from j up
+    then form a closed class, and the product form has no normaliser.
     """
     if ladder.reducible and not ladder.is_subgenerator:
         if ladder.up_rate(0) == 0 and ladder.mode == "generator":
@@ -202,42 +231,40 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
                 "ladder has an absorbing state 0; apply restrict_transient first"
             )
         raise ReducibleChainError("characteristic coefficients need an irreducible ladder")
+    if any(q == 0 for q in ladder.down):
+        raise ReducibleChainError(
+            "a zero down-rate closes off the states above it: the product form "
+            "has no normaliser and the characteristic coefficients are undefined"
+        )
     base = ladder.embedded()
     N = base.n_states - 1
     if kmax is None:
         kmax = N
     if not 0 <= kmax <= N:
         raise ValueError(f"kmax must lie in [0, N] = [0, {N}]")
-    table = coefficient_table(ladder, kmax)
-    one = Fraction(1) if base.exact else 1.0
     f = [sum(_product_weights(base))]
-    for k in range(1, kmax + 1):
-        s = one * 0
-        dq = one
-        for j in range(1, N + 1):
-            dq = dq * base.down[j - 1]
-            if j >= k:
-                s = s + table.c(k, j) / dq
-        f.append(s)
+    if base.exact:
+        scale, p, q = _rate_lattice(base)
+        norm = math.prod(q[1:])
+        rows = _coefficient_rows(p, q, kmax, 1)
+    else:
+        p, q = _pq(base)
+        rows = _coefficient_rows(p, q, kmax, 1.0)
+    next(rows)  # c_0 only seeds c_1
+    for k, row in enumerate(rows, start=1):
+        if base.exact:
+            total = 0
+            for q_j, c in zip(q[k:], row):  # j = k..N
+                total = total * q_j + c
+            f.append(Fraction(scale**k * total, norm))
+        else:
+            s, dq = 0.0, 1.0
+            for j in range(1, N + 1):
+                dq = dq * q[j]
+                if j >= k:
+                    s = s + row[j - k] / dq
+            f.append(s)
     return CharCoeffs(f=tuple(f), n=N)
-
-
-def rho_eval(table: CoeffTable, j: int, xi):
-    """Evaluate rho_j(xi) = sum_k c_k(j) xi^k by Horner's rule.
-
-    Exact for rational xi on an exact table; accepts float/mpf xi as well.
-    rho_{N+1} vanishes exactly at the eigenvalue shifts of the ladder matrix.
-    """
-    if not 0 <= j <= table.n_states:
-        raise ValueError("need 0 <= j <= N+1")
-    if j > table.kmax:
-        raise InsufficientCoefficientsError(
-            f"rho_{j} needs the table filled to k={j} (kmax={table.kmax})"
-        )
-    acc = xi * 0 + table.c(j, j)  # result type follows xi
-    for k in range(j - 1, -1, -1):
-        acc = acc * xi + table.c(k, j)
-    return acc
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,29 @@ def lifetime_direct(n: int, tau, delta=1):
 
     x_1 = 1, x_{j+1} = x_j (n-j) tau + 1;  F = (1/delta) sum_j x_j / j.
     Never forms raw factorials, so it is overflow-free at any n.
+
+    For rational tau = a/b the recursion runs on the integers
+    X_j = b^(j-1) x_j, X_{j+1} = X_j (n-j) a + b^j, and with L = lcm(1..n)
+
+        F delta = sum_j X_j b^(n-j) (L/j) / (L b^(n-1)),
+
+    whose numerator is summed by Horner's rule in b: one Fraction
+    normalisation in all, where a Fraction recursion takes a gcd per step.
+    Float and mpf tau run the recursion as written.
     """
     n = _node_count(n)
     tau, delta = as_number(tau), as_number(delta)
     if tau < 0:
         raise InvalidParameterError("tau must be nonnegative")
+    if is_exact(tau):
+        a, b = tau.numerator, tau.denominator
+        lcm = math.lcm(*range(1, n + 1))
+        x, b_power, total = 1, 1, 0  # X_j, b^(j-1), Horner sum to j
+        for j in range(1, n + 1):
+            total = total * b + x * (lcm // j)
+            b_power *= b
+            x = x * (n - j) * a + b_power
+        return Fraction(total, lcm * (b_power // b)) / delta
     x = tau * 0 + 1
     total = tau * 0
     for j in range(1, n + 1):

@@ -45,7 +45,6 @@ from bdecay import (
     newton_sums,
     required_precision,
     restrict_transient,
-    rho_eval,
     survival_log_slope,
     weighted_expint_integral,
 )
@@ -53,6 +52,7 @@ from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum
 from bdecay.validate import check_taylor_identities
 from conftest import symmetrize
+from paper_formulas import rho_eval
 
 TAU_RULES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))  # x values
 

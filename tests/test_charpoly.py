@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mpmath import mp
 
 from bdecay import (
     GENERATOR,
+    STOCHASTIC,
     DegenerateCoefficientsError,
     InsufficientCoefficientsError,
     PrecisionCtx,
@@ -20,11 +22,11 @@ from bdecay import (
     coefficient_table,
     newton_sums,
     restrict_transient,
-    rho_eval,
 )
 from bdecay.charpoly import c1_explicit, c2_explicit, diag_band_coeffs
 from bdecay.oracle import dense_spectrum
-from conftest import rational_ladders, symmetrize
+from conftest import positive_rates, rational_ladders, symmetrize
+from paper_formulas import rho_eval
 
 
 def second_order_table(ladder, kmax):
@@ -48,6 +50,58 @@ def second_order_table(ladder, kmax):
                     + (c[(k - 1, jm)] if k >= 1 else Fraction(0))
                 )
     return c
+
+
+def referee_f(ladder, kmax):
+    """f_0..f_kmax as the unscaled rates give them, one division per term:
+    f_0 = sum_j prod_{m<j} p_m/q_{m+1}, f_k = sum_j c_k(j) / prod_{m<j} q_{m+1}.
+    """
+    base = ladder.embedded()
+    one = Fraction(1) if base.exact else 1.0
+    weights = [one]
+    for p, q in zip(base.up, base.down):
+        weights.append(weights[-1] * p / q)
+    f = [sum(weights)]
+    table = coefficient_table(ladder, kmax)
+    for k in range(1, kmax + 1):
+        s, dq = one * 0, one
+        for j in range(1, base.n_states):
+            dq = dq * base.down[j - 1]
+            if j >= k:
+                s = s + table.c(k, j) / dq
+        f.append(s)
+    return tuple(f)
+
+
+@st.composite
+def coefficient_ladders(draw):
+    """Exact ladders char_coeffs accepts: irreducible generators and
+    stochastic matrices, and restricted sub-generators, with or without
+    zero interior up-rates."""
+    kind = draw(st.sampled_from(["irreducible", "stochastic", "restricted", "zero-up"]))
+    if kind == "stochastic":
+        return draw(rational_ladders(max_states=7, mode=STOCHASTIC))
+    if kind == "irreducible":
+        return draw(rational_ladders(max_states=7))
+    ladder = draw(rational_ladders(min_states=1, max_states=7))
+    up = list(ladder.up)
+    if kind == "zero-up" and up:
+        for i in draw(st.sets(st.integers(0, len(up) - 1), min_size=1)):
+            up[i] = Fraction(0)
+    return RateLadder(up=up, down=ladder.down, loss0=draw(positive_rates))
+
+
+def convert(ladder, number):
+    return RateLadder(
+        up=[number(v) for v in ladder.up],
+        down=[number(v) for v in ladder.down],
+        mode=ladder.mode,
+        loss0=number(ladder.loss0),
+    )
+
+
+def to_binary_mpf(v):
+    return mpmath.mpf(v.numerator) / v.denominator
 
 
 class TestCoefficientTable:
@@ -169,6 +223,29 @@ class TestCharCoeffs:
     def test_unrestricted_absorbing_ladder_rejected(self):
         with pytest.raises(ReducibleChainError):
             char_coeffs(build_eps_sis_ladder(3, 1, 1, 0))
+
+    @pytest.mark.parametrize("number", [Fraction, float], ids=["exact", "float"])
+    def test_zero_down_rate_has_no_normaliser(self, number):
+        # q_1 = 0 closes off states 1 and 2 of the sub-generator
+        sub = RateLadder(up=(1, 2), down=(number(0), 3), loss0=1)
+        with pytest.raises(ReducibleChainError, match="no normaliser"):
+            char_coeffs(sub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coefficient_ladders())
+    def test_lattice_equals_per_term_division(self, ladder):
+        n = ladder.embedded().n_states - 1
+        for kmax in range(n + 1):
+            f = char_coeffs(ladder, kmax).f
+            assert f == referee_f(ladder, kmax)
+            assert all(type(v) is Fraction for v in f)
+
+    @settings(max_examples=30, deadline=None)
+    @given(coefficient_ladders(), st.sampled_from([float, to_binary_mpf]))
+    def test_inexact_ladders_keep_per_term_division(self, ladder, number):
+        inexact = convert(ladder, number)
+        for kmax in range(inexact.embedded().n_states):
+            assert char_coeffs(inexact, kmax).f == referee_f(inexact, kmax)
 
 
 class TestRhoEval:

@@ -247,6 +247,12 @@ class TestDecayReport:
         assert all(v == -1 for v in rep.zeta_lagrange.values())
         assert float(rep.zeta_newton_bound) == -1.0
 
+    def test_zero_down_rate_is_named(self):
+        # the series need f_k, which a closed class above q_1 = 0 leaves undefined
+        sub = RateLadder(up=(1, 2), down=(0, 3), loss0=1)
+        with pytest.raises(ReducibleChainError, match="no normaliser"):
+            decay_report(sub)
+
     @settings(max_examples=10, deadline=None)
     @given(rational_ladders(min_states=3, max_states=7))
     def test_ordering_invariant_random(self, ladder):

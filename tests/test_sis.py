@@ -17,6 +17,7 @@ from bdecay import (
     char_coeffs,
     decay_regime,
     exp_integral,
+    hitting_time_solve,
     lifetime_asymptotic,
     lifetime_direct,
     lifetime_expint,
@@ -157,9 +158,37 @@ class TestLifetimeDirect:
         assert lifetime_direct(3, tau) == want
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(1, 25), st.fractions(Fraction(0), Fraction(2), max_denominator=30))
-    def test_recursion_equals_double_sum(self, n, tau):
-        assert lifetime_direct(n, tau) == lifetime_double_sum(n, tau)
+    @given(
+        st.integers(1, 60),
+        st.fractions(Fraction(0), Fraction(2), max_denominator=30),
+        st.fractions(Fraction(1, 30), Fraction(5), max_denominator=30),
+    )
+    def test_recursion_equals_double_sum(self, n, tau, delta):
+        assert lifetime_direct(n, tau, delta) == lifetime_double_sum(n, tau, delta)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.fractions(Fraction(1, 60), Fraction(2), max_denominator=60),
+        st.fractions(Fraction(1, 30), Fraction(5), max_denominator=30),
+    )
+    def test_equals_exact_hitting_time(self, n, tau, delta):
+        ladder = EpsSisParams.from_tau(n, tau, delta).ladder()
+        assert lifetime_direct(n, tau, delta) == hitting_time_solve(ladder)[-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_pure_death_is_harmonic_time(self, n):
+        assert lifetime_direct(n, 0, Fraction(3, 2)) == harmonic(n) / Fraction(3, 2)
+        assert lifetime_direct(n, 0.0) == pytest.approx(float(harmonic(n)), rel=1e-15)
+
+    def test_inexact_tau_streams_as_written(self):
+        # values of the Fraction-free recursion, to the last bit
+        assert lifetime_direct(50, 0.04, 1.25) == 9778.5577740077
+        assert lifetime_direct(200, 0.01) == 2.1644530117613244e16
+        assert lifetime_direct(30, mp.mpf(3) / 40) == mp.mpf("1586.8946013582749")
+
+    def test_exact_tau_with_float_delta_divides_last(self):
+        assert lifetime_direct(200, Fraction(1, 100), 0.5) == 4.32890602352264e16
 
 
 class TestTaylorCoeffs:
