@@ -4,7 +4,7 @@ Tri-diagonal birth-death chains (generators or stochastic matrices) carry a
 characteristic-coefficient structure that yields the second-largest
 eigenvalue -- the decay parameter -- through Lagrange series, analytic
 bounds, and a shifted Perron iteration on the birth-death Green's function at
-arbitrary precision (Sturm bisection in `oracle` referees it).  The
+arbitrary precision (Sturm sequences in `oracle` referee it).  The
 package specializes the machinery to SIS epidemics on the complete graph,
 where the decay parameter governs extinction and the mean extinction time
 has several independent closed forms.

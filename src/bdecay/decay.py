@@ -12,8 +12,8 @@ solves (M - sI) y = v by tri-diagonal elimination in row-sum (GTH) form,
 subtraction-free at s = 0, and the Collatz-Wielandt ratios v/y bracket
 lambda_1 - s for any positive v.  Shifting below the certified lower bound
 keeps M - sI an M-matrix, so lambda_1 stays resolved when it is
-exponentially close to 0.  Sturm bisection, its independent referee, lives
-in `oracle`.
+exponentially close to 0.  Its independent referee, Sturm-certified
+eigenvalue brackets, lives in `oracle`.
 """
 
 from __future__ import annotations
@@ -225,11 +225,13 @@ def _perron_bracket(down, up, tol):
 
 
 def _smallest_eigenvalue(down, up, tol):
-    """Bracket of the smallest eigenvalue of M, or None when M is singular.
+    """Bracket of the smallest eigenvalue of M.
 
     A zero coupling product down_i up_{i-1} makes M block-triangular; the
     rate across the cut is killing for its block, and the smallest
-    eigenvalue is the least over the irreducible blocks.
+    eigenvalue is the least over the irreducible blocks.  A block with no
+    killing is a closed class: M is singular, its smallest eigenvalue is 0
+    at every precision, and PrecisionExhaustedError names the block's rows.
     """
     m = len(down)
     cuts = [0] + [i for i in range(1, m) if down[i] * up[i - 1] == 0] + [m]
@@ -237,7 +239,10 @@ def _smallest_eigenvalue(down, up, tol):
     for a, b in zip(cuts, cuts[1:]):
         bracket = _perron_bracket(down[a:b], up[a:b], tol)
         if bracket is None:
-            return None
+            raise PrecisionExhaustedError(
+                f"states {a}..{b - 1} form a closed transient class with no exit: "
+                "M is singular and zeta is 0"
+            )
         brackets.append(bracket)
     return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
@@ -263,7 +268,11 @@ def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
     """
     n = ladder.n_states
     tol = to_mpf(ctx.default_tol)
-    scale = max(to_mpf(ladder.out_rate(j)) for j in range(n))
+    rates = [ladder.out_rate(j) for j in range(n)]
+    # one conversion: to_mpf rounds monotonically while numerators fit the
+    # working precision, so this is the max of the rounded rates (wider
+    # numerators round twice and may move it by an ulp)
+    scale = to_mpf(max(rates)) if ladder.exact else max(to_mpf(r) for r in rates)
     floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
     if abs(zeta) <= floor:
         raise PrecisionExhaustedError(
@@ -283,8 +292,8 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
 
     Raises PrecisionExhaustedError when the located value is within the
     round-off floor of 0, i.e. the working precision cannot separate the
-    decay parameter from the trivial eigenvalue, and also when M is singular
-    (a transient class with no exit).
+    decay parameter from the trivial eigenvalue, and also, naming the
+    states, when M is singular (a closed transient class with no exit).
     """
     ctx = ctx or PrecisionCtx()
     _decay_index(ladder)  # raises for a ladder with no decay parameter
@@ -293,7 +302,7 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     with mp.workprec(ctx.mantissa_bits):
         tol = to_mpf(ctx.default_tol)
         bracket = _smallest_eigenvalue([to_mpf(r) for r in down], [to_mpf(r) for r in up], tol)
-        zeta = -(bracket[0] + bracket[1]) / 2 if bracket else mp.zero
+        zeta = -(bracket[0] + bracket[1]) / 2
         _check_resolved(zeta, ladder, ctx)
         return +zeta
 

@@ -1,9 +1,13 @@
-"""Independent ground-truth generators: Sturm bisection for the decay
-parameter, full spectrum, hitting times, transient-decay fits, and
-event-driven stochastic simulation.
+"""Independent ground-truth generators: Sturm-sequence eigenvalues (the
+decay parameter and the full spectrum), hitting times, transient-decay fits,
+and event-driven stochastic simulation.
 
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
+`sturm_zeta` and `dense_spectrum` share one refinement: each eigenvalue is
+the midpoint of a bracket that Sturm counts certify, closed by Illinois
+regula falsi on det(A - xI) once it isolates the eigenvalue and by
+bisection before.
 Hitting times run on the Perron kernel's elimination, which shares nothing
 with the closed-form lifetime they referee.
 `sturm_zeta`, `dense_spectrum` and `transient_decay_fit` are not re-exported
@@ -15,10 +19,12 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+import mpmath
 from mpmath import mp
 
 from ._numbers import to_float, to_mpf
@@ -37,9 +43,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 DENSE_LIMIT = 64
+_STALLS = 3
 
 # ---------------------------------------------------------------------------
-# Sturm bisection: the referee of the production Perron kernel
+# Sturm sequences: the referee of the production Perron kernel
 # ---------------------------------------------------------------------------
 
 
@@ -59,70 +66,111 @@ def _sturm_arrays(ladder: RateLadder):
     return [to_mpf(d) for d in diag], [to_mpf(s) for s in offsq]
 
 
-def sturm_count_below(diag, offsq, x, tiny):
-    """Number of eigenvalues strictly below x (zero pivots nudged negative).
+def _sweep(diag, offsq, x, tiny):
+    """(x, count, det): the number of eigenvalues strictly below x, and det(A - xI).
 
     Pivot recursion d_0 = a_0 - x, d_i = (a_i - x) - p_{i-1} q_i / d_{i-1}
-    on the symmetric form of the matrix: the off-diagonal enters only through the
-    exact products p_{i-1} q_i, so no square roots are taken.
+    on the symmetric form of the matrix: the off-diagonal enters only through
+    the exact products p_{i-1} q_i, so no square roots are taken.  A zero
+    pivot is nudged to -tiny; the count is the number of negative pivots and
+    the determinant is their product.
     """
-    count = 0
     d = diag[0] - x
     if d == 0:
         d = -tiny
-    if d < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        d = (diag[i] - x) - offsq[i - 1] / d
+    count = int(d < 0)
+    det = d
+    for a, s in zip(diag[1:], offsq):
+        d = (a - x) - s / d
         if d == 0:
             d = -tiny
         if d < 0:
             count += 1
-    return count
+        det *= d
+    return x, count, det
 
 
-def _bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny):
-    """k-th smallest eigenvalue (1-indexed), given count(lo) < k <= count(hi)."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if sturm_count_below(diag, offsq, mid, tiny) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
+    """Eigenvalues of ranks ks (1-indexed, smallest first, ascending), at the
+    working precision, each the midpoint of a bracket [lo, hi] with
+    count(lo) < k <= count(hi) and hi - lo <= tol.
 
-
-def _sturm_bracket(diag, offsq, tiny):
-    """(lo, hi) enclosing every eigenvalue: Gershgorin-sized, doubled until Sturm counts agree."""
+    The first bracket is Gershgorin-sized, doubled until the Sturm counts
+    enclose the spectrum.  Every sweep point (x, count, det) is kept, sorted
+    by x, so each one narrows the bracket of every later rank.  Once a
+    bracket isolates its eigenvalue (counts k - 1 and k, determinants of
+    opposite sign), the next point is the Illinois regula falsi point on
+    det(A - xI), at least tol/2 inside either end so that the bracket can
+    close to width tol.  Otherwise, as at a repeated eigenvalue, the step
+    bisects; so does the step after _STALLS Illinois steps in a row that
+    each left the bracket wider than half, so the bracket halves at least
+    once in every _STALLS + 1 sweeps.
+    """
+    diag, offsq = _sturm_arrays(ladder)
+    tiny = mp.mpf(2) ** (-2 * mp.prec)
     scale = max(abs(d) for d in diag) + 1
-    lo = -4 * scale
-    while sturm_count_below(diag, offsq, lo, tiny) > 0:
-        lo *= 2
-    hi = scale * 0 + 1  # generator shifts are <= 0; +1 margin is harmless
-    while sturm_count_below(diag, offsq, hi, tiny) < len(diag):
-        hi *= 2
-    return lo, hi
+    lo = _sweep(diag, offsq, -4 * scale, tiny)
+    while lo[1] > 0:
+        lo = _sweep(diag, offsq, 2 * lo[0], tiny)
+    hi = _sweep(diag, offsq, mp.one, tiny)  # generator shifts are <= 0
+    while hi[1] < len(diag):
+        hi = _sweep(diag, offsq, 2 * hi[0], tiny)
+    points = [lo, hi]
+    half = tol / 2
+    eigs = []
+    for k in ks:
+        i = bisect_left(points, k, key=lambda p: p[1])  # counts: points[i - 1] < k <= points[i]
+        lo, hi = points[i - 1], points[i]
+        flo, fhi, kept, stalls = lo[2], hi[2], None, 0
+        while (width := hi[0] - lo[0]) > tol:
+            illinois = lo[1] == k - 1 and hi[1] == k and (flo < 0) != (fhi < 0) and stalls < _STALLS
+            if illinois:
+                x = hi[0] - fhi * width / (fhi - flo)
+                x = min(max(x, lo[0] + half), hi[0] - half)
+            else:
+                x = (lo[0] + hi[0]) / 2
+            if not lo[0] < x < hi[0]:
+                raise PrecisionExhaustedError(
+                    f"Sturm bracket cannot close to {mpmath.nstr(tol, 5)} at {mp.prec} bits"
+                )
+            point = _sweep(diag, offsq, x, tiny)
+            points.insert(i, point)
+            # Illinois: an end kept a second time in a row has its weight halved
+            if point[1] >= k:
+                hi, fhi = point, point[2]
+                if illinois and kept == "lo":
+                    flo /= 2
+                kept = "lo" if illinois else None
+            else:
+                lo, flo = point, point[2]
+                i += 1
+                if illinois and kept == "hi":
+                    fhi /= 2
+                kept = "hi" if illinois else None
+            stalls = stalls + 1 if illinois and hi[0] - lo[0] > width / 2 else 0
+        eigs.append((lo[0] + hi[0]) / 2)
+        del points[: i - 1]  # later ranks have their brackets at or above lo
+    return eigs
 
 
 def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
-    """Decay parameter by index-selected Sturm bisection (referee route).
+    """Decay parameter by its index in the Sturm sequence (referee route).
 
     Same contract as `decay.exact_zeta`, with its admissibility checks,
     eigenvalue index and round-off floor (`decay._decay_index`,
     `decay._check_resolved`).  The index selects the second-largest
     eigenvalue of an irreducible ladder and the largest of a restricted
     sub-generator, which stays correct when the decay parameter clusters
-    exponentially close to the zero eigenvalue.  Bisects in mpf arithmetic
-    at ctx.mantissa_bits to width <= ctx.default_tol inside the
-    `dense_spectrum` bracket, about (mantissa_bits/2) O(n) sweeps.
+    exponentially close to the zero eigenvalue.  Runs in mpf arithmetic at
+    ctx.mantissa_bits and returns the midpoint of a Sturm-certified bracket
+    of width <= ctx.default_tol (`_sturm_eigenvalues`): bisection until the
+    bracket isolates the eigenvalue, then Illinois steps on the determinant,
+    a few dozen O(n) sweeps where bisection took about mantissa_bits/2.
     """
     ctx = ctx or PrecisionCtx()
     k = _decay_index(ladder)
     with mp.workprec(ctx.mantissa_bits):
-        diag, offsq = _sturm_arrays(ladder)
-        tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
-        lo, hi = _sturm_bracket(diag, offsq, tiny)
-        zeta = _bisect_eigenvalue(diag, offsq, k, lo, hi, to_mpf(ctx.default_tol), tiny)
+        (zeta,) = _sturm_eigenvalues(ladder, [k], to_mpf(ctx.default_tol))
         _check_resolved(zeta, ladder, ctx)
         return +zeta
 
@@ -133,21 +181,18 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
     Root isolation on the degree-(N+1) polynomial of the matrix via Sturm
     sign counts: each eigenvalue is extracted by index, so clustered values
     come out with their multiplicities.  Works for reducible ladders (zero
-    off-diagonal products decouple the blocks).  Bisects in mpf arithmetic
-    at ctx.mantissa_bits to width <= tol (default ctx.default_tol).
+    off-diagonal products decouple the blocks).  Runs in mpf arithmetic at
+    ctx.mantissa_bits; each value is the midpoint of a Sturm-certified
+    bracket of width <= tol (default ctx.default_tol), and every sweep
+    narrows the brackets of the ranks still to come (`_sturm_eigenvalues`).
     """
     ctx = ctx or PrecisionCtx()
     n = ladder.n_states
     if n - 1 > DENSE_LIMIT:
         raise InvalidParameterError(f"dense spectrum is limited to N <= {DENSE_LIMIT}")
     with mp.workprec(ctx.mantissa_bits):
-        diag, offsq = _sturm_arrays(ladder)
-        tiny = mp.mpf(2) ** (-2 * ctx.mantissa_bits)
         tol = to_mpf(tol if tol is not None else ctx.default_tol)
-        lo, hi = _sturm_bracket(diag, offsq, tiny)
-        eigs = []
-        for k in range(1, n + 1):
-            eigs.append(_bisect_eigenvalue(diag, offsq, k, lo, hi, tol, tiny))
+        eigs = _sturm_eigenvalues(ladder, range(1, n + 1), tol)
         return list(reversed([+e for e in eigs]))
 
 

@@ -202,6 +202,15 @@ class TestPerronAgainstSturm:
         with pytest.raises(PrecisionExhaustedError):
             sturm_zeta(sub, ctx)
 
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_closed_transient_class_is_named(self, bits):
+        # q_1 = 0 closes states 1..2: zeta is 0, and no precision resolves it
+        sub = RateLadder(up=(1, 2), down=(0, 3), loss0=1)
+        closed = r"^states 1\.\.2 form a closed transient class"
+        with pytest.raises(PrecisionExhaustedError, match=closed) as err:
+            exact_zeta(sub, PrecisionCtx(mantissa_bits=bits))
+        assert "raise the precision" not in str(err.value)
+
     def test_tolerance_below_rounding_is_precision_exhausted(self):
         # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins
         ladder = RateLadder(

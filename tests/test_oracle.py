@@ -5,10 +5,14 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import mp
 from bdecay import (
     GENERATOR,
+    STOCHASTIC,
     EpsSisParams,
     InvalidParameterError,
+    PrecisionCtx,
+    PrecisionExhaustedError,
     RateLadder,
     UnsupportedStructureError,
     build_eps_sis_ladder,
@@ -19,7 +23,9 @@ from bdecay import (
     restrict_transient,
     survival_log_slope,
 )
-from bdecay.oracle import dense_spectrum, transient_decay_fit
+from bdecay import oracle
+from bdecay._numbers import to_mpf
+from bdecay.oracle import dense_spectrum, sturm_zeta, transient_decay_fit
 from conftest import positive_rates
 
 
@@ -58,6 +64,120 @@ class TestDenseSpectrum:
         big = build_eps_sis_ladder(70, 1, 1, 1)
         with pytest.raises(InvalidParameterError):
             dense_spectrum(big)
+
+
+def bisection_spectrum(ladder, ks, tol):
+    """Referee: eigenvalues of ranks ks (1-indexed, smallest first) of the
+    shifted ladder matrix by plain Sturm bisection, one bit per sweep, from a
+    Gershgorin bracket, at the working precision.
+    """
+    n = ladder.n_states
+    diag = [-to_mpf(ladder.out_rate(j)) for j in range(n)]
+    offsq = [to_mpf(ladder.up[j] * ladder.down[j]) for j in range(n - 1)]
+
+    def count_below(x):
+        count, d = 0, None
+        for j in range(n):
+            d = diag[j] - x if j == 0 else (diag[j] - x) - offsq[j - 1] / d
+            if d == 0:
+                d = -mp.mpf(2) ** (-2 * mp.prec)
+            count += d < 0
+        return count
+
+    radius = max(abs(a) for a in diag) + 2 * max([mp.sqrt(s) for s in offsq], default=0) + 1
+    eigs = []
+    for k in ks:
+        lo, hi = -radius, radius
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            if count_below(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        eigs.append((lo + hi) / 2)
+    return eigs
+
+
+repeat_rates = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def spectrum_ladders(draw):
+    """Exact ladders of up to 12 states, generator or stochastic, whole or
+    restricted; zero up-rates split them into blocks, and rates drawn from a
+    small set make those blocks share eigenvalues.
+    """
+    width = draw(st.integers(min_value=1, max_value=11))
+    rates = st.one_of(repeat_rates, positive_rates)
+    up = draw(st.lists(st.one_of(st.just(Fraction(0)), rates), min_size=width, max_size=width))
+    down = draw(st.lists(rates, min_size=width, max_size=width))
+    if draw(st.booleans()):
+        return RateLadder(up=up, down=down, loss0=draw(rates))
+    if draw(st.booleans()):
+        scale = 2 * max(up + down) + 1
+        up, down = [p / scale for p in up], [q / scale for q in down]
+        return RateLadder(up=up, down=down, mode=STOCHASTIC)
+    return RateLadder(up=up, down=down)
+
+
+class TestSturmRefinement:
+    @settings(max_examples=60, deadline=None)
+    @given(spectrum_ladders())
+    def test_matches_plain_bisection(self, ladder):
+        ctx = PrecisionCtx()
+        n = ladder.n_states
+        spec = dense_spectrum(ladder, ctx)
+        with mp.workprec(ctx.mantissa_bits):
+            tol = to_mpf(ctx.default_tol)
+            ref = bisection_spectrum(ladder, range(1, n + 1), tol)
+            assert all(abs(a - b) <= tol for a, b in zip(reversed(spec), ref))
+        if ladder.reducible and not ladder.is_subgenerator:
+            return  # no decay parameter
+        k = n if ladder.is_subgenerator else n - 1
+        zeta = sturm_zeta(ladder, ctx)
+        with mp.workprec(ctx.mantissa_bits):
+            assert abs(zeta - ref[k - 1]) <= tol
+
+    def test_repeated_eigenvalue_keeps_its_multiplicity(self):
+        # three decoupled states at -1: the count jumps by 3, no bracket isolates
+        ladder = RateLadder(up=[0, 0, 0], down=[1, 1, 1])
+        spec = dense_spectrum(ladder)
+        with mp.workprec(128):
+            tol = to_mpf(PrecisionCtx().default_tol)
+            assert abs(spec[0]) <= tol
+            assert all(abs(e + 1) <= tol for e in spec[1:])
+
+    @pytest.mark.parametrize("referee", [dense_spectrum, sturm_zeta], ids=lambda f: f.__name__)
+    def test_unclosable_bracket_is_precision_exhausted(self, referee):
+        # eigenvalue -2e30: one ulp of it at 128 bits is 6e-9, far above tol
+        with pytest.raises(PrecisionExhaustedError, match="^Sturm bracket cannot close"):
+            referee(RateLadder(up=[10**30], down=[10**30]))
+
+    def test_sweeps_per_eigenvalue_and_certificates(self, monkeypatch):
+        # N = 30, x = 2, eps > 0: 31 simple eigenvalues; bisection from the
+        # Gershgorin bracket takes about 71 sweeps each
+        points = []
+        sweep = oracle._sweep
+
+        def recorded(diag, offsq, x, tiny):
+            point = sweep(diag, offsq, x, tiny)
+            points.append(point[:2])
+            return point
+
+        monkeypatch.setattr(oracle, "_sweep", recorded)
+        ladder = EpsSisParams.from_x(30, 2, 1, Fraction(1, 10**5)).ladder()
+        ctx = PrecisionCtx()
+        spec = dense_spectrum(ladder, ctx)
+        assert len(points) <= 16 * len(spec)
+        with mp.workprec(ctx.mantissa_bits):
+            tol = to_mpf(ctx.default_tol)
+            for k, e in enumerate(reversed(spec), start=1):
+                # the nearest swept points on either side certify e
+                lo = max((p for p in points if p[0] < e), key=lambda p: p[0])
+                hi = min((p for p in points if p[0] > e), key=lambda p: p[0])
+                assert lo[1] < k <= hi[1]
+                assert hi[0] - lo[0] <= tol
+                assert e == (lo[0] + hi[0]) / 2
 
 
 @st.composite
