@@ -268,11 +268,7 @@ def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
     """
     n = ladder.n_states
     tol = to_mpf(ctx.default_tol)
-    rates = [ladder.out_rate(j) for j in range(n)]
-    # one conversion: to_mpf rounds monotonically while numerators fit the
-    # working precision, so this is the max of the rounded rates (wider
-    # numerators round twice and may move it by an ulp)
-    scale = to_mpf(max(rates)) if ladder.exact else max(to_mpf(r) for r in rates)
+    scale = to_mpf(max(ladder.out_rate(j) for j in range(n)))
     floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
     if abs(zeta) <= floor:
         raise PrecisionExhaustedError(

@@ -98,13 +98,13 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
     The first bracket is Gershgorin-sized, doubled until the Sturm counts
     enclose the spectrum.  Every sweep point (x, count, det) is kept, sorted
     by x, so each one narrows the bracket of every later rank.  Once a
-    bracket isolates its eigenvalue (counts k - 1 and k, determinants of
-    opposite sign), the next point is the Illinois regula falsi point on
-    det(A - xI), at least tol/2 inside either end so that the bracket can
-    close to width tol.  Otherwise, as at a repeated eigenvalue, the step
-    bisects; so does the step after _STALLS Illinois steps in a row that
-    each left the bracket wider than half, so the bracket halves at least
-    once in every _STALLS + 1 sweeps.
+    bracket isolates its eigenvalue (counts k - 1 and k), the next point is
+    the Illinois regula falsi point on det(A - xI), at least tol/2 inside
+    either end so that the bracket can close to width tol.  Otherwise, as at
+    a repeated eigenvalue, the step bisects; so does a step whose clamped
+    point rounds onto an end, and the step after _STALLS Illinois steps in a
+    row that each left the bracket wider than half, so the bracket halves at
+    least once in every _STALLS + 1 sweeps.
     """
     diag, offsq = _sturm_arrays(ladder)
     tiny = mp.mpf(2) ** (-2 * mp.prec)
@@ -123,16 +123,19 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
         lo, hi = points[i - 1], points[i]
         flo, fhi, kept, stalls = lo[2], hi[2], None, 0
         while (width := hi[0] - lo[0]) > tol:
-            illinois = lo[1] == k - 1 and hi[1] == k and (flo < 0) != (fhi < 0) and stalls < _STALLS
+            # det has the sign (-1)^count, so counts k - 1 and k give a sign change
+            illinois = lo[1] == k - 1 and hi[1] == k and stalls < _STALLS
             if illinois:
                 x = hi[0] - fhi * width / (fhi - flo)
                 x = min(max(x, lo[0] + half), hi[0] - half)
-            else:
+                # within an ulp of an end the clamped point can round onto it
+                illinois = lo[0] < x < hi[0]
+            if not illinois:
                 x = (lo[0] + hi[0]) / 2
-            if not lo[0] < x < hi[0]:
-                raise PrecisionExhaustedError(
-                    f"Sturm bracket cannot close to {mpmath.nstr(tol, 5)} at {mp.prec} bits"
-                )
+                if not lo[0] < x < hi[0]:
+                    raise PrecisionExhaustedError(
+                        f"Sturm bracket cannot close to {mpmath.nstr(tol, 5)} at {mp.prec} bits"
+                    )
             point = _sweep(diag, offsq, x, tiny)
             points.insert(i, point)
             # Illinois: an end kept a second time in a row has its weight halved

@@ -193,23 +193,21 @@ class TestPerronAgainstSturm:
         assert exact_zeta(sub, ctx) == -2
         assert_matches_sturm(sub, ctx)
 
-    @pytest.mark.parametrize("ctx", [PrecisionCtx(mantissa_bits=64)], ids=["float"])
+    @pytest.mark.parametrize(
+        "ctx",
+        [PrecisionCtx(mantissa_bits=bits) for bits in (64, 128, 1024)],
+        ids=["float", "128bits", "1024bits"],
+    )
     def test_closed_transient_class_is_precision_exhausted(self, ctx):
-        # states 1 and 2 of the sub-generator never exit: M is singular
+        # q_1 = 0 closes states 1..2 of the sub-generator: M is singular, zeta
+        # is 0, and no precision resolves it
         sub = RateLadder(up=[1, 1], down=[0, 1], mode=GENERATOR, loss0=1)
-        with pytest.raises(PrecisionExhaustedError):
-            exact_zeta(sub, ctx)
-        with pytest.raises(PrecisionExhaustedError):
-            sturm_zeta(sub, ctx)
-
-    @pytest.mark.parametrize("bits", [128, 1024])
-    def test_closed_transient_class_is_named(self, bits):
-        # q_1 = 0 closes states 1..2: zeta is 0, and no precision resolves it
-        sub = RateLadder(up=(1, 2), down=(0, 3), loss0=1)
         closed = r"^states 1\.\.2 form a closed transient class"
         with pytest.raises(PrecisionExhaustedError, match=closed) as err:
-            exact_zeta(sub, PrecisionCtx(mantissa_bits=bits))
+            exact_zeta(sub, ctx)
         assert "raise the precision" not in str(err.value)
+        with pytest.raises(PrecisionExhaustedError):
+            sturm_zeta(sub, ctx)
 
     def test_tolerance_below_rounding_is_precision_exhausted(self):
         # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins

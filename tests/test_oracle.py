@@ -147,6 +147,17 @@ class TestSturmRefinement:
             assert abs(spec[0]) <= tol
             assert all(abs(e + 1) <= tol for e in spec[1:])
 
+    def test_tolerance_of_one_ulp_closes(self):
+        # eigenvalues 0 and -7/6; tol is one ulp of -7/6 at 64 bits, so a
+        # regula falsi point clamped tol/2 inside an end can round onto it
+        ladder = RateLadder(up=[Fraction(2, 3)], down=[Fraction(1, 2)])
+        tol = Fraction(1, 2**63)
+        spec = dense_spectrum(ladder, PrecisionCtx(mantissa_bits=64), tol)
+        with mp.workprec(64):
+            tol = to_mpf(tol)
+            ref = bisection_spectrum(ladder, [1, 2], tol)
+            assert all(abs(a - b) <= tol for a, b in zip(reversed(spec), ref))
+
     @pytest.mark.parametrize("referee", [dense_spectrum, sturm_zeta], ids=lambda f: f.__name__)
     def test_unclosable_bracket_is_precision_exhausted(self, referee):
         # eigenvalue -2e30: one ulp of it at 128 bits is 6e-9, far above tol
