@@ -9,11 +9,10 @@ package specializes the machinery to SIS epidemics on the complete graph,
 where the decay parameter governs extinction and the mean extinction time
 has several independent closed forms.
 
-The names below are the production surface.  The paper-formula cross-checks
-live in `charpoly` (c1_explicit, c2_explicit, diag_band_coeffs) and `sis`
-(char_coeff0, char_coeff1, char_coeff2_limit, lifetime_double_sum), and the
-spectrum referees in `oracle` (sturm_zeta, dense_spectrum,
-transient_decay_fit); import them from those modules.
+The names below are the production surface.  The cross-checks that
+`validate` runs live in `charpoly` (c1_explicit, c2_explicit,
+diag_band_coeffs), and the spectrum referees in `oracle` (sturm_zeta,
+dense_spectrum); import them from those modules.
 """
 
 from .chain import (
@@ -72,7 +71,6 @@ from .sis import (
     lifetime_taylor,
     mean_absorption_time,
     taylor_coeffs,
-    weighted_expint_integral,
 )
 
 __version__ = "0.1.0"
@@ -97,5 +95,4 @@ __all__ = [
     "EpsSisParams", "LifetimeReport", "RegimeEstimate", "decay_regime",
     "exp_integral", "lifetime_asymptotic", "lifetime_direct", "lifetime_expint",
     "lifetime_taylor", "mean_absorption_time", "taylor_coeffs",
-    "weighted_expint_integral",
 ]

@@ -13,6 +13,7 @@ from numbers import Rational
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 
 def is_exact(x) -> bool:
@@ -38,9 +39,11 @@ def as_number(x):
 
 
 def to_mpf(x) -> mpmath.mpf:
-    """Convert to mpf at the *current* mpmath working precision."""
+    """Convert to mpf at the *current* mpmath working precision; a rational is
+    rounded once, to nearest.
+    """
     if isinstance(x, Rational):
-        return mp.mpf(x.numerator) / x.denominator
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     return mp.mpf(x)
 
 

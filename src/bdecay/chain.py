@@ -96,24 +96,6 @@ class RateLadder:
             out = out + self.loss0
         return out
 
-    def to_dense(self):
-        """Dense matrix as list of rows (generator Q, or stochastic P)."""
-        n = self.n_states
-        one = Fraction(1) if self.exact else 1.0
-        rows = []
-        for j in range(n):
-            row = [0 * one for _ in range(n)]
-            if j < n - 1:
-                row[j + 1] = self.up[j]
-            if j >= 1:
-                row[j - 1] = self.down[j - 1]
-            if self.mode == GENERATOR:
-                row[j] = -self.out_rate(j)
-            else:
-                row[j] = one - self.out_rate(j)
-            rows.append(row)
-        return rows
-
     def embedded(self) -> "RateLadder":
         """Re-attach the absorbing state of a restricted sub-generator.
 

@@ -193,8 +193,8 @@ def _perron_bracket(down, up, tol):
     shift then moves below the certified lower bound, to lo - (hi - lo) or,
     while the bracket is wider than 2^-16 (lo - s), to lo - 2^-16 (lo - s).  A
     shift that overshoots in rounding shows up as a non-positive pivot and is
-    backed off to the last one that factorised.  Returns None when the block
-    is singular (a closed class with no exit).
+    backed off to the last one that factorised.  The block must have killing
+    at an edge (`_irreducible_blocks`): then every pivot at s = 0 is positive.
     """
     v = [1] * len(down)
     shift = trial = 0 * down[0]
@@ -202,8 +202,6 @@ def _perron_bracket(down, up, tol):
     while True:
         y = _shifted_solve(down, up, trial, v)
         if y is None:
-            if trial == shift:  # only possible at s = 0
-                return None
             trial = shift
             continue
         shift = trial
@@ -224,26 +222,32 @@ def _perron_bracket(down, up, tol):
         v = y
 
 
-def _smallest_eigenvalue(down, up, tol):
-    """Bracket of the smallest eigenvalue of M.
+def _irreducible_blocks(down, up):
+    """(a, b) of each irreducible block, rows a..b-1, of M.
 
-    A zero coupling product down_i up_{i-1} makes M block-triangular; the
-    rate across the cut is killing for its block, and the smallest
-    eigenvalue is the least over the irreducible blocks.  A block with no
-    killing is a closed class: M is singular, its smallest eigenvalue is 0
-    at every precision, and PrecisionExhaustedError names the block's rows.
+    A zero coupling product down_i up_{i-1} makes M block-triangular, and
+    the rate across the cut is killing for its block.  A block with no
+    killing at either edge (down_a = up_{b-1} = 0) is a closed class: M is
+    singular, zeta is 0 at every precision, and PrecisionExhaustedError
+    names the block's rows.
     """
     m = len(down)
     cuts = [0] + [i for i in range(1, m) if down[i] * up[i - 1] == 0] + [m]
-    brackets = []
-    for a, b in zip(cuts, cuts[1:]):
-        bracket = _perron_bracket(down[a:b], up[a:b], tol)
-        if bracket is None:
+    blocks = list(zip(cuts, cuts[1:]))
+    for a, b in blocks:
+        if down[a] == 0 and up[b - 1] == 0:
             raise PrecisionExhaustedError(
                 f"states {a}..{b - 1} form a closed transient class with no exit: "
                 "M is singular and zeta is 0"
             )
-        brackets.append(bracket)
+    return blocks
+
+
+def _smallest_eigenvalue(down, up, tol):
+    """Bracket of the smallest eigenvalue of M: the least over its
+    irreducible blocks (`_irreducible_blocks`).
+    """
+    brackets = [_perron_bracket(down[a:b], up[a:b], tol) for a, b in _irreducible_blocks(down, up)]
     return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 

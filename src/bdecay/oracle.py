@@ -1,6 +1,6 @@
 """Independent ground-truth generators: Sturm-sequence eigenvalues (the
-decay parameter and the full spectrum), hitting times, transient-decay fits,
-and event-driven stochastic simulation.
+decay parameter and the full spectrum), hitting times, and event-driven
+stochastic simulation.
 
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
@@ -10,9 +10,9 @@ regula falsi on det(A - xI) once it isolates the eigenvalue and by
 bisection before.
 Hitting times run on the Perron kernel's elimination, which shares nothing
 with the closed-form lifetime they referee.
-`sturm_zeta`, `dense_spectrum` and `transient_decay_fit` are not re-exported
-by the package; import them from this module.  numpy is imported inside the
-functions that use it, so importing the package does not load it.
+`sturm_zeta` and `dense_spectrum` are not re-exported by the package;
+import them from this module.  numpy is imported inside the functions that
+use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ import mpmath
 from mpmath import mp
 
 from ._numbers import to_float, to_mpf
-from .chain import GENERATOR, RateLadder, restrict_transient, steady_state
+from .chain import GENERATOR, RateLadder, restrict_transient
 from .decay import (
     PrecisionCtx,
     _check_resolved,
     _decay_index,
+    _irreducible_blocks,
     _m_matrix_rates,
     _shifted_solve,
 )
@@ -160,7 +161,8 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by its index in the Sturm sequence (referee route).
 
     Same contract as `decay.exact_zeta`, with its admissibility checks,
-    eigenvalue index and round-off floor (`decay._decay_index`,
+    closed-class rule, eigenvalue index and round-off floor
+    (`decay._decay_index`, `decay._irreducible_blocks`,
     `decay._check_resolved`).  The index selects the second-largest
     eigenvalue of an irreducible ladder and the largest of a restricted
     sub-generator, which stays correct when the decay parameter clusters
@@ -172,6 +174,7 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """
     ctx = ctx or PrecisionCtx()
     k = _decay_index(ladder)
+    _irreducible_blocks(*_m_matrix_rates(ladder))  # raises for a closed class
     with mp.workprec(ctx.mantissa_bits):
         (zeta,) = _sturm_eigenvalues(ladder, [k], to_mpf(ctx.default_tol))
         _check_resolved(zeta, ladder, ctx)
@@ -337,89 +340,3 @@ def survival_log_slope(times: np.ndarray) -> float:
     design = np.vstack([ts, np.ones_like(ts)]).T
     slope, _ = np.linalg.lstsq(design, np.log(surv), rcond=None)[0]
     return float(slope)
-
-
-@dataclass(frozen=True)
-class TransientFit:
-    """Fitted exponential relaxation rate of s(t) towards the steady state."""
-
-    rate: float
-    reliable: bool
-    points_used: int
-    slope_drift: float
-
-
-def transient_decay_fit(ladder: RateLadder, t_grid) -> TransientFit:
-    """Fit the tail slope of log ||s(t) - pi||_1 with s(t) from uniformization.
-
-    s(t) = sum_k Poisson(Lambda t; k) s(0) S^k with S = I + Q/Lambda, started
-    from the top state N.  The fit uses the last half of the grid points
-    whose residual stays above 1e-12, clear of double-precision round-off;
-    the result is flagged unreliable when too few such points survive or when
-    the slope drifts by more than 5% between the two halves of the fit window
-    (the grid then sits before the asymptotic decay regime).  Runs in double
-    precision, which is ample for a 1% slope fit.
-    """
-    import numpy as np
-
-    if ladder.reducible or ladder.is_subgenerator:
-        raise InvalidParameterError("transient fit needs an irreducible ladder")
-    n = ladder.n_states
-    if n - 1 > DENSE_LIMIT:
-        raise InvalidParameterError(f"transient fit is limited to N <= {DENSE_LIMIT}")
-    t_grid = np.asarray([to_float(t) for t in t_grid])
-    if len(t_grid) < 8 or np.any(np.diff(t_grid) <= 0):
-        raise InvalidParameterError("t_grid must be increasing with >= 8 points")
-    q_dense = np.array([[to_float(v) for v in row] for row in ladder.to_dense()])
-    if ladder.mode != GENERATOR:
-        q_dense = q_dense - np.eye(n)  # embed P as the generator P - I
-    pi = np.array([to_float(v) for v in steady_state(ladder)])
-    rate_out = -np.diag(q_dense)
-    big_lambda = 1.05 * rate_out.max() + 1e-9
-    stoch = np.eye(n) + q_dense / big_lambda
-
-    s0 = np.zeros(n)
-    s0[n - 1] = 1.0
-
-    def state_at(t):
-        mu_t = big_lambda * t
-        if mu_t > 650:
-            raise PrecisionExhaustedError("uniformization horizon too long for float64")
-        w = math.exp(-mu_t)
-        acc = w * s0
-        v = s0
-        wsum = w
-        k = 0
-        kmax = int(mu_t + 40 * math.sqrt(mu_t + 1) + 60)
-        while k < kmax and wsum < 1 - 1e-16:
-            k += 1
-            v = v @ stoch
-            w *= mu_t / k
-            acc = acc + w * v
-            wsum += w
-        return acc
-
-    resid = np.array([np.abs(state_at(t) - pi).sum() for t in t_grid])
-    usable = resid > 1e-12
-    idx = np.nonzero(usable)[0]
-    if len(idx) < 6:
-        return TransientFit(rate=math.nan, reliable=False, points_used=int(len(idx)), slope_drift=math.inf)
-    tail = idx[len(idx) // 2 :]
-
-    def fit(sel):
-        design = np.vstack([t_grid[sel], np.ones(len(sel))]).T
-        slope, _ = np.linalg.lstsq(design, np.log(resid[sel]), rcond=None)[0]
-        return slope
-
-    mid = len(tail) // 2
-    if mid < 3:
-        return TransientFit(rate=math.nan, reliable=False, points_used=int(len(tail)), slope_drift=math.inf)
-    slope_all = fit(tail)
-    drift = abs(fit(tail[:mid]) - fit(tail[mid:])) / abs(slope_all)
-    reliable = bool(drift <= 0.05)
-    return TransientFit(
-        rate=float(slope_all),
-        reliable=reliable,
-        points_used=int(len(tail)),
-        slope_drift=float(drift),
-    )

@@ -11,11 +11,7 @@ eps = 0) is available through four independent routes:
                          precision on one exp-sinh quadrature rule
   * lifetime_asymptotic- large-n form for fixed x = n*tau > 1
 
-plus the literal double sum (lifetime_double_sum) kept as a test oracle.
-It and the closed-form coefficients char_coeff0, char_coeff1 and
-char_coeff2_limit cross-check the paper's formulas; they are not re-exported
-by the package, so import them from this module.  The module needs mpmath
-and the standard library only.
+The module needs mpmath and the standard library only.
 """
 
 from __future__ import annotations
@@ -83,80 +79,6 @@ class EpsSisParams:
 
 
 # ---------------------------------------------------------------------------
-# closed-form characteristic coefficients
-# ---------------------------------------------------------------------------
-
-
-def _rising(a, k: int):
-    """(a)_k = a (a+1) ... (a+k-1), empty product = 1."""
-    r = a * 0 + 1
-    for i in range(k):
-        r = r * (a + i)
-    return r
-
-
-def char_coeff0(params: EpsSisParams):
-    """f_0 = 1/pi_0 = sum_k C(n,k) prod_{m<k} (eps* + m tau); 1 in the eps->0 limit."""
-    n, tau, es = params.n, params.tau, params.eps_star
-    total = tau * 0
-    for k in range(n + 1):
-        prod = tau * 0 + 1
-        for m in range(k):
-            prod = prod * (es + m * tau)
-        total = total + math.comb(n, k) * prod
-    return total
-
-
-def char_coeff1(params: EpsSisParams):
-    """f_1 in closed form (triple sum over Gamma ratios expanded as products).
-
-    At eps = 0 this collapses to the mean lifetime F(tau) = lifetime_direct.
-    """
-    n, tau, delta = params.n, params.tau, params.delta
-    a = params.eps / params.beta  # eps*/tau
-    total = tau * 0
-    for j in range(1, n + 1):
-        inner = tau * 0
-        for r in range(j):
-            g1 = _rising(a + j - r, r)  # Gamma(a+j)/Gamma(a+j-r)
-            cb = Fraction(math.comb(n - j + r, r), math.comb(j - 1, r))
-            for k in range(j - r):
-                g2 = _rising(a, j - 1 - r - k)  # Gamma(a+j-1-r-k)/Gamma(a)
-                inner = inner + cb * math.comb(n, j - 1 - r - k) * g1 * g2 / tau ** k
-        total = total + tau ** (j - 1) * inner / j
-    return total / delta
-
-
-def char_coeff2_limit(params: EpsSisParams):
-    """The eps->0 limit of f_2 in closed form (four nested sums).
-
-    Cross-validates the generic coefficient-table route on restricted
-    sub-generators; for n = 2 only the leading 1/(2 delta^2) survives.
-    """
-    n, tau, delta = params.n, params.tau, params.delta
-    total = tau * 0 + Fraction(1, 2)
-    for j in range(3, n + 1):
-        total = total + Fraction(math.factorial(n - 2), j * math.factorial(n - j)) * tau ** (j - 2)
-    t3 = tau * 0
-    for j in range(3, n + 1):
-        for k in range(3, j + 1):
-            t3 = t3 + Fraction(math.factorial(n - k), j * math.factorial(n - j)) * tau ** (j - k)
-    total = total + t3 * (tau * (n - 1) + 3) / 2
-    for j in range(3, n + 1):
-        for k in range(3, j + 1):
-            for s in range(1, k - 2):
-                for m in range(k - s):
-                    total = total + (
-                        Fraction(
-                            math.factorial(n - (k - s - m)) * math.factorial(n - k),
-                            j * math.factorial(n - j) * (k - s) * math.factorial(n - (k - s)),
-                        )
-                        * tau ** (j - k + m)
-                    )
-    return total / delta ** 2
-
-
-# ---------------------------------------------------------------------------
 # mean lifetime, four ways
 # ---------------------------------------------------------------------------
 
@@ -194,20 +116,6 @@ def lifetime_direct(n: int, tau, delta=1):
     for j in range(1, n + 1):
         total = total + x / j
         x = x * (n - j) * tau + 1
-    return total / delta
-
-
-def lifetime_double_sum(n: int, tau, delta=1):
-    """Literal double sum for F(tau); O(n^2) test oracle for lifetime_direct."""
-    tau, delta = as_number(tau), as_number(delta)
-    total = tau * 0
-    for j in range(1, n + 1):
-        term = tau * 0
-        ratio = 1  # (n-j+r)!/(n-j)! as running product
-        for r in range(j):
-            term = term + ratio * tau ** r
-            ratio *= n - j + r + 1
-        total = total + term / j
     return total / delta
 
 
@@ -362,19 +270,6 @@ def _exp_sinh(f, scale: float) -> float:
     except OverflowError as exc:
         raise PrecisionExhaustedError("expint integrand exceeds double range") from exc
     raise QuadratureFailureError(f"exp-sinh sums still differ by {err:.3e}", error_estimate=err)
-
-
-def weighted_expint_integral(tau, k: int) -> float:
-    """L_k(tau) = int_0^inf e^w E_k(w) / (w + 1/tau)^k dw on the exp-sinh rule;
-    PrecisionExhaustedError where the integrand leaves the double range.
-    """
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    tau = to_float(tau)
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    a = 1.0 / tau
-    return _exp_sinh(lambda w: _scaled_orders(k, w)[-1] * (w + a) ** -k, a)
 
 
 def lifetime_expint(n: int, tau, delta=1) -> float:

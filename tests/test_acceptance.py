@@ -46,13 +46,12 @@ from bdecay import (
     required_precision,
     restrict_transient,
     survival_log_slope,
-    weighted_expint_integral,
 )
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum
 from bdecay.validate import check_taylor_identities
 from conftest import symmetrize
-from paper_formulas import rho_eval
+from paper_formulas import rho_eval, weighted_expint_integral
 
 TAU_RULES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))  # x values
 

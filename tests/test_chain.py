@@ -17,6 +17,7 @@ from bdecay import (
     steady_state,
 )
 from conftest import rational_ladders, symmetrize
+from paper_formulas import dense_matrix
 
 
 class TestBuildEpsSis:
@@ -100,7 +101,7 @@ class TestSymmetrize:
     @settings(max_examples=20, deadline=None)
     @given(rational_ladders(max_states=7))
     def test_spectrum_preserved(self, ladder):
-        dense = np.array([[float(v) for v in row] for row in ladder.to_dense()])
+        dense = np.array([[float(v) for v in row] for row in dense_matrix(ladder)])
         raw = np.sort(np.linalg.eigvals(dense).real)
         sym = symmetrize(ladder)
         n = ladder.n_states
@@ -114,7 +115,7 @@ class TestSymmetrize:
     @settings(max_examples=20, deadline=None)
     @given(rational_ladders(mode=STOCHASTIC))
     def test_stochastic_rows_sum_to_one(self, ladder):
-        for row in ladder.to_dense():
+        for row in dense_matrix(ladder):
             assert sum(row) == 1
 
 
@@ -166,6 +167,6 @@ class TestLadderValidation:
 
     def test_generator_dense_rows_sum_to_loss(self):
         sub = restrict_transient(build_eps_sis_ladder(3, 1, 1, 0))
-        rows = sub.to_dense()
+        rows = dense_matrix(sub)
         assert sum(rows[0]) == -sub.loss0
         assert sum(rows[1]) == 0

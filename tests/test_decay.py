@@ -200,14 +200,13 @@ class TestPerronAgainstSturm:
     )
     def test_closed_transient_class_is_precision_exhausted(self, ctx):
         # q_1 = 0 closes states 1..2 of the sub-generator: M is singular, zeta
-        # is 0, and no precision resolves it
+        # is 0, and no precision resolves it; both kernels name the class
         sub = RateLadder(up=[1, 1], down=[0, 1], mode=GENERATOR, loss0=1)
         closed = r"^states 1\.\.2 form a closed transient class"
-        with pytest.raises(PrecisionExhaustedError, match=closed) as err:
-            exact_zeta(sub, ctx)
-        assert "raise the precision" not in str(err.value)
-        with pytest.raises(PrecisionExhaustedError):
-            sturm_zeta(sub, ctx)
+        for zeta_fn in (exact_zeta, sturm_zeta):
+            with pytest.raises(PrecisionExhaustedError, match=closed) as err:
+                zeta_fn(sub, ctx)
+            assert "raise the precision" not in str(err.value), zeta_fn.__name__
 
     def test_tolerance_below_rounding_is_precision_exhausted(self):
         # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins

@@ -25,8 +25,9 @@ from bdecay import (
 )
 from bdecay import oracle
 from bdecay._numbers import to_mpf
-from bdecay.oracle import dense_spectrum, sturm_zeta, transient_decay_fit
+from bdecay.oracle import dense_spectrum, sturm_zeta
 from conftest import positive_rates
+from paper_formulas import dense_matrix, transient_decay_fit
 
 
 def harmonic(n):
@@ -56,7 +57,7 @@ class TestDenseSpectrum:
                 mode=GENERATOR,
             )
             spec = np.array([float(z) for z in dense_spectrum(ladder)])
-            dense = np.array([[float(v) for v in row] for row in ladder.to_dense()])
+            dense = np.array([[float(v) for v in row] for row in dense_matrix(ladder)])
             want = np.sort(np.linalg.eigvals(dense).real)[::-1]
             assert np.allclose(spec, want, atol=1e-12 * max(1, np.abs(want).max()))
 
@@ -207,7 +208,7 @@ class TestHittingTimes:
     def test_solves_generator_system_exactly(self, ladder):
         # -Q_S h = 1 on the transient states 1..n, Q_S cut from the dense Q
         h = hitting_time_solve(ladder)
-        q = ladder.to_dense()
+        q = dense_matrix(ladder)
         n = ladder.n_states - 1
         assert len(h) == n
         for i in range(1, n + 1):

@@ -117,10 +117,13 @@ def _private_definitions(tree):
                 yield name, node.lineno
 
 
-def test_private_definitions_are_referenced():
-    # a private helper nothing reads is a leftover of a refactor
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in (SRC / "bdecay").glob("*.py")}
+def _package_trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in (SRC / "bdecay").glob("*.py")}
+
+
+def _names_read(trees):
+    """Every name the package reads, as a variable or as an attribute."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -128,9 +131,54 @@ def test_private_definitions_are_referenced():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_private_definitions_are_referenced():
+    # a private helper nothing reads is a leftover of a refactor
+    trees = _package_trees()
+    read = _names_read(trees)
     unread = [f"{module}: {name} (line {line})" for module, tree in sorted(trees.items())
               for name, line in _private_definitions(tree) if name not in read]
     assert not unread, f"private definitions nothing references: {unread}"
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in getattr(node, "decorator_list", ()))
+
+
+def _public_definitions(tree):
+    """(qualified name, name, line) of each public module-level function or
+    class, and of each public method of its classes.  A property of a class
+    in __all__ is a field of an exported record, so it is public by export
+    and is left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                exported = node.name in bdecay.__all__
+                for item in node.body:
+                    if (isinstance(item, defs) and not item.name.startswith("_")
+                            and not (exported and _is_property(item))):
+                        yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+# the Sturm referee of exact_zeta, which only the tests call
+UNREAD_PUBLIC_EXEMPT = {"oracle.sturm_zeta"}
+
+
+def test_public_definitions_are_exported_or_read():
+    # a public name outside __all__ that the package never reads is code that
+    # only the tests run: it belongs with them
+    trees = _package_trees()
+    read = _names_read(trees) | set(bdecay.__all__)
+    unread = [f"{module[:-3]}.{qualified} (line {line})"
+              for module, tree in sorted(trees.items())
+              for qualified, name, line in _public_definitions(tree)
+              if name not in read and f"{module[:-3]}.{qualified}" not in UNREAD_PUBLIC_EXEMPT]
+    assert not unread, f"public definitions outside __all__ that nothing reads: {unread}"
 
 
 def _defaulted_parameters():

@@ -26,9 +26,15 @@ from bdecay import (
     restrict_transient,
     steady_state,
     taylor_coeffs,
+)
+from bdecay.validate import check_expint
+from paper_formulas import (
+    char_coeff0,
+    char_coeff1,
+    char_coeff2_limit,
+    lifetime_double_sum,
     weighted_expint_integral,
 )
-from bdecay.sis import char_coeff0, char_coeff1, char_coeff2_limit, lifetime_double_sum
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -240,14 +246,9 @@ class TestExpIntegral:
                 assert abs(mine - ref) < mp.mpf(2) ** -70 * ref
 
     def test_recursion_residual(self):
-        for x in (0.1, 1.0, 10.0):
-            with mp.workprec(80):
-                emx = mp.exp(-mp.mpf(x))
-                prev = exp_integral(1, x, bits=80)
-                for k in range(2, 101):
-                    cur = exp_integral(k, x, bits=80)
-                    assert abs((k - 1) * cur - emx + x * prev) <= 1e-12
-                    prev = cur
+        # x in {0.1, 1, 10}, k <= 100: residual <= 1e-12, and the sandwich bounds
+        ok, detail = check_expint("full")
+        assert ok, detail
 
     def test_sandwich_bounds(self):
         for n in range(2, 201, 9):
