@@ -14,6 +14,17 @@ lambda_1 - s for any positive v.  Shifting below the certified lower bound
 keeps M - sI an M-matrix, so lambda_1 stays resolved when it is
 exponentially close to 0.  Its independent referee, Sturm-certified
 eigenvalue brackets, lives in `oracle`.
+
+The kernel runs in two stages.  A float prelude walks the shift from 0 up
+to lambda_1 in double precision; the mpf iteration starts from its shift
+and Perron vector, and only mpf ratios form the returned bracket.  When
+zeta or the Perron vector leaves double range the prelude gives no start,
+and a start that does not factorise in mpf restarts once from shift 0 and
+the ones vector; either way the mpf stage then runs from 0 as the one-stage
+kernel did.  After a float start the bracket, once within tol, is polished
+by further passes over the last shift's pivots until it is within
+2^-(bits - 40) of lambda_1, so zeta's printed digits do not depend on the
+path the iteration took.
 """
 
 from __future__ import annotations
@@ -154,25 +165,37 @@ def _m_matrix_rates(ladder: RateLadder):
     return ladder.up, ladder.down
 
 
-def _shifted_solve(down, up, s, v):
-    """y = (M - sI)^-1 v by tridiagonal elimination in row-sum (GTH) form.
+def _factor(down, up, s):
+    """Multipliers and pivots of M - sI by tridiagonal elimination in row-sum
+    (GTH) form, or None when a pivot is not positive: M - sI is then no
+    nonsingular M-matrix.
 
     r_i = (killing_i - s) + w_i r_{i-1} with w_i = down_i / d_{i-1} is the
     row sum left after eliminating rows < i, d_i = r_i + up_i the pivot.  At
-    s = 0 every term is positive.  Returns None when a pivot is not
-    positive: M - sI is then no nonsingular M-matrix.
+    s = 0 every term is positive.
     """
-    pivots, sums = [], []
+    weights, pivots = [], []
     r = d = 1  # a virtual row before 0 makes w_0 = down_0 the killing rate
-    g = 0
-    for l, u, vi in zip(down, up, v):
+    for l, u in zip(down, up):
         w = l / d
         r = w * r - s
         d = r + u
         if d <= 0:
             return None
-        g = vi + w * g
+        weights.append(w)
         pivots.append(d)
+    return weights, pivots
+
+
+def _substitute(factors, up, v):
+    """y = (M - sI)^-1 v from `_factor`'s output: a forward pass over v, then
+    back-substitution.
+    """
+    weights, pivots = factors
+    sums = []
+    g = 0
+    for w, vi in zip(weights, v):
+        g = vi + w * g
         sums.append(g)
     y = [None] * len(v)
     acc = 0
@@ -182,32 +205,111 @@ def _shifted_solve(down, up, s, v):
     return y
 
 
+def _shifted_solve(down, up, s, v):
+    """y = (M - sI)^-1 v, or None when `_factor` finds a non-positive pivot."""
+    factors = _factor(down, up, s)
+    return None if factors is None else _substitute(factors, up, v)
+
+
+def _collatz_wielandt(v, y):
+    """(min, max) of v/y: for positive v and y = (M - sI)^-1 v they bracket
+    lambda_1 - s.
+    """
+    ratios = [a / b for a, b in zip(v, y)]
+    return min(ratios), max(ratios)
+
+
 _STALL_LIMIT = 16
+_FLOAT_STEPS = 32
+_FLOAT_WIDTH = 1e-9
+
+
+def _next_shift(shift, lo, hi):
+    """Shift below the certified lower bound shift + lo: by the bracket width
+    hi - lo or, while the bracket is wide, 2^-16 of the way short of lo.
+    """
+    return max(shift, shift + lo - min(hi - lo, lo / 65536))
+
+
+def _float_start(down, up):
+    """(shift, v) to start the mpf iteration from, found by the same
+    iteration on float copies of the rates; None when there is no start.
+
+    v is normalised to max 1 at each step.  The loop ends when the bracket
+    is narrower than _FLOAT_WIDTH relative to lambda_1, after _FLOAT_STEPS
+    steps, or at a shift that rounding makes fail to factorise.  It returns
+    the next shift, lowered by a further 2^-32 of lambda_1 against rounding
+    in the float rates and solves.  There is no start when a rate is not
+    finite or is 0 only as a float, or a solve, ratio or normalised
+    component is not finite and positive: zeta or the Perron vector then
+    lies outside double range.
+    """
+    fdown, fup = [float(r) for r in down], [float(r) for r in up]
+    if not all(math.isfinite(f) and (f > 0 or r == 0) for f, r in zip(fdown + fup, down + up)):
+        return None
+    v = [1.0] * len(fdown)
+    trial = 0.0
+    start = None
+    for _ in range(_FLOAT_STEPS):
+        y = _shifted_solve(fdown, fup, trial, v)
+        if y is None:
+            break
+        if not all(0.0 < a < math.inf for a in y):
+            return None
+        lo, hi = _collatz_wielandt(v, y)
+        top = max(y)
+        v = [a / top for a in y]
+        if not (0.0 < lo and hi < math.inf and min(v) > 0.0):
+            return None
+        shift, trial = trial, _next_shift(trial, lo, hi)
+        start = max(0.0, trial - (shift + lo) * 2.0**-32), v
+        if hi - lo <= _FLOAT_WIDTH * (shift + lo):
+            break
+    return start
 
 
 def _perron_bracket(down, up, tol):
-    """Bracket [lo, hi] of the smallest eigenvalue of one irreducible block.
+    """Bracket [lo, hi] of the smallest eigenvalue of one irreducible block,
+    of width <= tol.
 
     Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
-    Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]; the
-    shift then moves below the certified lower bound, to lo - (hi - lo) or,
-    while the bracket is wider than 2^-16 (lo - s), to lo - 2^-16 (lo - s).  A
-    shift that overshoots in rounding shows up as a non-positive pivot and is
-    backed off to the last one that factorised.  The block must have killing
-    at an edge (`_irreducible_blocks`): then every pivot at s = 0 is positive.
+    Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]
+    (`_collatz_wielandt`); the shift then moves below the certified lower
+    bound (`_next_shift`).  A shift that overshoots in rounding shows up as
+    a non-positive pivot, and the iteration stays at the last one that
+    factorised.  The block must have killing at an edge
+    (`_irreducible_blocks`): then every pivot at s = 0 is positive.
+
+    Two stages.  `_float_start` walks the shift up to lambda_1 in double
+    precision; the mpf iteration starts from its shift and vector, and only
+    the mpf ratios form the bracket.  With no float start, or one that does
+    not factorise in mpf (rounding put it above lambda_1), the iteration
+    starts once from shift 0 and the ones vector, and runs as the one-stage
+    kernel did.  After a float start, a bracket within tol is polished:
+    further passes over the last shift's pivots (`_substitute`, no new
+    factorisation) each give a certified bracket, kept while it is narrower,
+    until the width is within 2^-(prec - 40) of lambda_1.
     """
-    v = [1] * len(down)
-    shift = trial = 0 * down[0]
+    start = _float_start(down, up)
+    factors = None
+    if start is not None:
+        shift, v = mpmath.mpf(start[0]), start[1]
+        factors = _factor(down, up, shift)
+    seeded = factors is not None
+    if not seeded:
+        shift, v = 0 * down[0], [1] * len(down)
+        factors = _factor(down, up, shift)
     best, stalls = None, 0
     while True:
-        y = _shifted_solve(down, up, trial, v)
-        if y is None:
-            trial = shift
-            continue
-        shift = trial
-        ratios = [a / b for a, b in zip(v, y)]
-        lo, hi = min(ratios), max(ratios)
+        y = _substitute(factors, up, v)
+        lo, hi = _collatz_wielandt(v, y)
         if hi - lo <= tol:
+            while seeded and hi - lo > mpmath.ldexp(shift + lo, 40 - mp.prec):
+                v, y = y, _substitute(factors, up, y)
+                polished = _collatz_wielandt(v, y)
+                if polished[1] - polished[0] >= hi - lo:
+                    break
+                lo, hi = polished
             return shift + lo, shift + hi
         if best is None or hi - lo < best:
             best, stalls = hi - lo, 0
@@ -217,9 +319,11 @@ def _perron_bracket(down, up, tol):
                 raise PrecisionExhaustedError(
                     "Perron bracket stopped shrinking above tol; raise the precision"
                 )
-        # while the bracket is wide, stop 2^-16 of the way short of lo
-        trial = max(shift, shift + lo - min(hi - lo, lo / 65536))
+        trial = _next_shift(shift, lo, hi)
         v = y
+        trial_factors = _factor(down, up, trial)
+        if trial_factors is not None:
+            shift, factors = trial, trial_factors
 
 
 def _irreducible_blocks(down, up):
@@ -286,9 +390,15 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
 
     Irreducible ladder: second-largest eigenvalue (the largest is exactly 0
     for a generator / shift of 1 for a stochastic matrix), through the
-    Siegmund dual.  Restricted sub-generator: largest eigenvalue.  Runs in
-    mpf arithmetic at ctx.mantissa_bits, closes the Collatz-Wielandt bracket
-    to width <= ctx.default_tol and returns its midpoint as an mpf.
+    Siegmund dual.  Restricted sub-generator: largest eigenvalue.  Closes
+    the Collatz-Wielandt bracket to width <= ctx.default_tol in mpf
+    arithmetic at ctx.mantissa_bits and returns its midpoint as an mpf.
+    A float prelude finds the shift, and the mpf stage certifies the
+    bracket and then polishes it, for as long as a pass narrows it, to a
+    width of 2^-(mantissa_bits - 40) |zeta|.
+    Where zeta or its Perron vector leaves double range (|zeta| below about
+    1e-308) there is no prelude and no polish: the mpf iteration runs from
+    shift 0 and stops once the width is <= ctx.default_tol.
 
     Raises PrecisionExhaustedError when the located value is within the
     round-off floor of 0, i.e. the working precision cannot separate the

@@ -22,6 +22,7 @@ from bdecay import (
 from bdecay import decay
 from bdecay.cli import _json_value, main
 from bdecay.validate import run_suite
+from sweep_reference import COLUMNS, reference_rows
 
 
 def run_cli(args):
@@ -357,3 +358,15 @@ GOLDEN = [
 def test_output_matches_golden_file(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("eps", ["0", "1e-5"])
+def test_sweep_relative_errors_match_reference(eps, capsys):
+    # 17 printed digits of |estimate - zeta| / |zeta| need zeta far below
+    # the bracket tolerance: they must equal the ones from zeta at 4x the bits
+    argv = ["sweep", "--n-min", "4", "--n-max", "16", "--x-values", "1/2,1,2,3", "--eps", eps]
+    assert main(argv) == 0
+    rows = list(reference_rows(capsys.readouterr().out, Fraction(eps)))
+    assert len(rows) == 13 * 4
+    for row, ref in rows:
+        assert {c: row[c] for c in COLUMNS} == ref, (row["n"], row["x"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -220,6 +221,80 @@ class TestPerronAgainstSturm:
             decay._smallest_eigenvalue(
                 [to_mpf(r) for r in down], [to_mpf(r) for r in up], mp.mpf("1e-60")
             )
+
+
+def mpf_digest(z):
+    """A digest of every bit of an mpf: sign, mantissa and exponent."""
+    sign, man, exp, _ = z._mpf_
+    return hashlib.sha256(f"{sign} {int(man)} {exp}".encode()).hexdigest()[:16]
+
+
+def assert_near_working_precision(ladder, bits):
+    """exact_zeta at bits is within 2^-(bits - 40) |zeta| of exact_zeta at 4 bits."""
+    z = exact_zeta(ladder, PrecisionCtx(mantissa_bits=bits))
+    fine = exact_zeta(ladder, PrecisionCtx(mantissa_bits=4 * bits))
+    with mp.workprec(4 * bits):
+        assert abs(z - fine) <= mpmath.ldexp(abs(fine), 40 - bits)
+
+
+TINY = Fraction(1, 10**400)
+
+
+class TestFloatSeededKernel:
+    """The float prelude only seeds the mpf iteration: a start it gets wrong
+    or cannot give leaves the mpf result as it was without a prelude.
+    """
+
+    def test_start_above_lambda1_restarts_from_zero(self, monkeypatch):
+        ladder = build_eps_sis_ladder(30, Fraction(2, 30), 1, Fraction(1, 10**5))
+        ctx = PrecisionCtx(mantissa_bits=required_precision(30, 2))
+        monkeypatch.setattr(decay, "_float_start", lambda down, up: None)
+        unseeded = exact_zeta(ladder, ctx)
+        above = -2 * float(unseeded)
+        monkeypatch.setattr(decay, "_float_start", lambda down, up: (above, [1.0] * len(down)))
+        shifts = []
+        factor = decay._factor
+
+        def counted(down, up, s):
+            shifts.append(s)
+            assert len(shifts) < 100, "the Perron iteration does not end"
+            return factor(down, up, s)
+
+        monkeypatch.setattr(decay, "_factor", counted)
+        assert exact_zeta(ladder, ctx)._mpf_ == unseeded._mpf_
+        assert shifts[:2] == [above, 0]
+
+    @pytest.mark.parametrize(
+        "ladder,bits,digest",
+        [
+            # zeta ~ -2.7e-318: the Perron vector overflows a double
+            (restrict_transient(build_eps_sis_ladder(1700, Fraction(3, 1700), 1, 0)),
+             required_precision(1700, 3), "53bbdaf16241810d"),
+            # a rate of 1e-400 is 0 as a double; zeta ~ -1e-400
+            (RateLadder(up=[1, TINY, 1], down=[1, TINY, 1], mode=GENERATOR),
+             3000, "e67e2ea5c5ce3713"),
+        ],
+        ids=["n1700_x3", "rate_1e-400"],
+    )
+    def test_prelude_declines_outside_double_range(self, ladder, bits, digest):
+        # the digests are of the one-stage kernel's results, before the prelude
+        down, up = decay._m_matrix_rates(ladder)
+        with mp.workprec(bits):
+            assert decay._float_start([to_mpf(r) for r in down], [to_mpf(r) for r in up]) is None
+        assert mpf_digest(exact_zeta(ladder, PrecisionCtx(mantissa_bits=bits))) == digest
+
+    @pytest.mark.parametrize(
+        "n,x", [(100, Fraction(1, 2)), (200, 1), (300, 2), (400, 3)],
+        ids=["n100_x1/2", "n200_x1", "n300_x2", "n400_x3"],
+    )
+    def test_polished_to_working_precision_absorbing(self, n, x):
+        sub = restrict_transient(build_eps_sis_ladder(n, Fraction(x, n), 1, 0))
+        assert_near_working_precision(sub, required_precision(n, x))
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_ladders(min_states=2, max_states=12))
+    def test_polished_to_working_precision_random(self, ladder):
+        assert_near_working_precision(ladder, 128)
 
 
 class TestRequiredPrecision:
