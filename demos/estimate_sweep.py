@@ -11,19 +11,17 @@ Writes sweep.csv next to this script and prints a digest.
 import pathlib
 from fractions import Fraction
 
-from bdecay import EpsSisParams, PrecisionCtx, decay_report, required_precision
+from bdecay import EpsSisParams, decay_report
 
 EPS = Fraction(1, 100000)  # small self-infection keeps the chain irreducible
 X_VALUES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 N_VALUES = range(4, 41, 4)
 
-bits = required_precision(max(N_VALUES), float(max(X_VALUES)))
-ctx = PrecisionCtx(mantissa_bits=bits)
 rows = []
 for n in N_VALUES:
     for x in X_VALUES:
         ladder = EpsSisParams.from_tau(n, x / n, 1, EPS).ladder()
-        rep = decay_report(ladder, ctx)
+        rep = decay_report(ladder)
         rel2 = float(rep.relative_error(rep.zeta_lagrange[2]))
         reln = float(rep.relative_error(rep.zeta_newton_bound))
         rows.append((n, float(x), float(rep.zeta_exact), rel2, reln))

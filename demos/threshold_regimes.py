@@ -12,11 +12,9 @@ from mpmath import mp
 
 from bdecay import (
     EpsSisParams,
-    PrecisionCtx,
     decay_regime,
     exact_zeta,
     lifetime_direct,
-    required_precision,
     restrict_transient,
 )
 from bdecay._numbers import to_mpf
@@ -32,10 +30,9 @@ print("\nabove threshold the decay parameter inverts the mean lifetime:")
 print(f"{'n':>5} {'x':>4} {'-zeta':>14} {'1/E[T]':>14} {'|zeta*E[T]+1|':>14}")
 for n, x in [(40, 2), (70, 2), (100, 2), (100, Fraction(5, 2))]:
     params = EpsSisParams.from_x(n, x, 1, 0)
-    bits = required_precision(n, float(x))
-    z = exact_zeta(restrict_transient(params.ladder()), PrecisionCtx(mantissa_bits=bits))
+    z = exact_zeta(restrict_transient(params.ladder()))
     lifetime = lifetime_direct(n, params.tau)
-    with mp.workprec(bits):
+    with mp.workprec(128):
         resid = float(abs(z * to_mpf(lifetime) + 1))
     print(f"{n:>5} {float(x):>4.1f} {float(-z):>14.6e} {1 / float(lifetime):>14.6e} "
           f"{resid:>14.2e}")

@@ -21,7 +21,7 @@ import mpmath
 from . import __version__
 from ._numbers import is_exact, to_float, to_mpf
 from .chain import restrict_transient
-from .decay import PrecisionCtx, decay_report, exact_zeta, required_precision
+from .decay import PrecisionCtx, decay_report, exact_zeta
 from .errors import BdecayError, InvalidParameterError, PrecisionExhaustedError
 from .oracle import gillespie_simulate
 from .sis import (
@@ -51,10 +51,15 @@ def _fmt(value, exact: bool = False) -> str:
         return ""
     if exact and is_exact(value):
         return str(Fraction(value))
-    if is_exact(value) and abs(value) > sys.float_info.max:
-        value = to_mpf(value)
+    normal = sys.float_info.min <= abs(value) <= sys.float_info.max
+    if is_exact(value) and value != 0 and not normal:
+        value = to_mpf(value)  # a float would overflow, underflow or lose digits
     if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, 17, strip_zeros=True)
+        # nstr of a wide mantissa far from 1 converts integers past Python's
+        # 4300-digit limit.  128 bits hold every digit it prints, and leave
+        # a value at the default precision as it is.
+        with mpmath.mp.workprec(128):
+            return mpmath.nstr(+value, 17, strip_zeros=True)
     return f"{to_float(value):.17g}"
 
 
@@ -103,10 +108,10 @@ def _params_from_args(args) -> EpsSisParams:
     return EpsSisParams.from_x(args.n, args.x, args.delta, args.eps)
 
 
-def _precision_ctx(args, n, x) -> PrecisionCtx:
-    """Working precision: --precision-bits, or enough for n nodes at max(x, 1)."""
+def _precision_ctx(args) -> PrecisionCtx:
+    """Working precision: --precision-bits, or PrecisionCtx's default."""
     if args.precision_bits is None:
-        return PrecisionCtx(mantissa_bits=required_precision(n, max(x, 1)))
+        return PrecisionCtx()
     try:
         return PrecisionCtx(mantissa_bits=args.precision_bits)
     except ValueError as exc:
@@ -130,7 +135,7 @@ def cmd_decay(args) -> int:
     ladder = params.ladder()
     if params.eps == 0:
         ladder = restrict_transient(ladder)
-    report = decay_report(ladder, _precision_ctx(args, params.n, to_float(params.x)))
+    report = decay_report(ladder, _precision_ctx(args))
     if to_float(params.x) <= 1:
         print(
             "warning: x <= 1 (at or below threshold); the Lagrange series needs "
@@ -196,8 +201,7 @@ def cmd_sweep(args) -> int:
     x_list = None
     if args.x_values is not None:
         x_list = sorted(_comma_list(args.x_values, "--x-values", Fraction))
-    max_x = to_float(x_list[-1]) if x_list else to_float(args.tau) * max(n_values)
-    ctx = _precision_ctx(args, max(n_values), max_x)
+    ctx = _precision_ctx(args)
     bits = ctx.mantissa_bits
 
     rows = []
@@ -267,7 +271,7 @@ def cmd_lifetime(args) -> int:
     report = mean_absorption_time(params)
     x = to_float(params.x)
     residual = None
-    ctx = _precision_ctx(args, params.n, x)
+    ctx = _precision_ctx(args)
     if x > 1:
         sub = restrict_transient(params.ladder())
         z = exact_zeta(sub, ctx)

@@ -15,16 +15,16 @@ keeps M - sI an M-matrix, so lambda_1 stays resolved when it is
 exponentially close to 0.  Its independent referee, Sturm-certified
 eigenvalue brackets, lives in `oracle`.
 
-The kernel runs in two stages.  A float prelude walks the shift from 0 up
-to lambda_1 in double precision; the mpf iteration starts from its shift
-and Perron vector, and only mpf ratios form the returned bracket.  When
-zeta or the Perron vector leaves double range the prelude gives no start,
-and a start that does not factorise in mpf restarts once from shift 0 and
-the ones vector; either way the mpf stage then runs from 0 as the one-stage
-kernel did.  After a float start the bracket, once within tol, is polished
-by further passes over the last shift's pivots until it is within
-2^-(bits - 40) of lambda_1, so zeta's printed digits do not depend on the
-path the iteration took.
+A float prelude walks the shift from 0 up to lambda_1 in double precision;
+the mpf iteration starts from its shift and Perron vector, and only mpf
+ratios form the returned bracket.  When zeta or the Perron vector leaves
+double range the prelude gives no start, and a start that does not
+factorise in mpf restarts from shift 0 and the ones vector.  Either way
+the iteration stops on one rule: the bracket is within 2^-(bits - 40) of
+lambda_1, relative to lambda_1.  The elimination is subtraction-free (Alfa,
+Xue & Ye, Math. Comp. 71, 2002), so this relative width is reachable at a
+fixed working precision, PrecisionCtx's 128 bits by default, whatever the
+size of the ladder or the scale of zeta.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ from .errors import (
 class PrecisionCtx:
     """Working precision of the ζ kernel and of its Sturm referee.
 
-    All pivots are mpf numbers with `mantissa_bits` of mantissa, and
-    brackets close to width `default_tol` = 2^-(mantissa_bits/2).
+    All pivots are mpf numbers with `mantissa_bits` of mantissa.  The Perron
+    kernel closes ζ's bracket to 2^-(mantissa_bits - 40) |ζ|; the Sturm
+    referee closes its brackets to the absolute width `default_tol` =
+    2^-(mantissa_bits/2).
     """
 
     mantissa_bits: int = 128
@@ -67,9 +69,9 @@ class PrecisionCtx:
 
 
 def required_precision(n: int, x) -> int:
-    """Mantissa bits needed to resolve a decay parameter of order x^-(n-1) n:
-
-    ceil(n * log2(max(x, 2))) + 96, floored at 128.
+    """Mantissa bits at which the Sturm referee (`oracle.sturm_zeta`), whose
+    brackets close to an absolute width, resolves a decay parameter of order
+    x^-(n-1) n: ceil(n * log2(max(x, 2))) + 96, floored at 128.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -268,48 +270,38 @@ def _float_start(down, up):
     return start
 
 
-def _perron_bracket(down, up, tol):
-    """Bracket [lo, hi] of the smallest eigenvalue of one irreducible block,
-    of width <= tol.
+def _perron_bracket(down, up):
+    """Bracket [lo, hi] of the smallest eigenvalue lambda_1 of one
+    irreducible block, of width <= 2^-(prec - 40) lambda_1.
 
     Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
     Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]
     (`_collatz_wielandt`); the shift then moves below the certified lower
     bound (`_next_shift`).  A shift that overshoots in rounding shows up as
-    a non-positive pivot, and the iteration stays at the last one that
+    a non-positive pivot, and the next pass runs over the last factors that
     factorised.  The block must have killing at an edge
     (`_irreducible_blocks`): then every pivot at s = 0 is positive.
 
-    Two stages.  `_float_start` walks the shift up to lambda_1 in double
-    precision; the mpf iteration starts from its shift and vector, and only
-    the mpf ratios form the bracket.  With no float start, or one that does
-    not factorise in mpf (rounding put it above lambda_1), the iteration
-    starts once from shift 0 and the ones vector, and runs as the one-stage
-    kernel did.  After a float start, a bracket within tol is polished:
-    further passes over the last shift's pivots (`_substitute`, no new
-    factorisation) each give a certified bracket, kept while it is narrower,
-    until the width is within 2^-(prec - 40) of lambda_1.
+    `_float_start` walks the shift up to lambda_1 in double precision; the
+    mpf iteration starts from its shift and vector, and only the mpf ratios
+    form the bracket.  With no float start, or one that does not factorise
+    in mpf (rounding put it above lambda_1), it starts from shift 0 and the
+    ones vector.  A bracket that stops narrowing raises
+    PrecisionExhaustedError.
     """
     start = _float_start(down, up)
     factors = None
     if start is not None:
         shift, v = mpmath.mpf(start[0]), start[1]
         factors = _factor(down, up, shift)
-    seeded = factors is not None
-    if not seeded:
+    if factors is None:
         shift, v = 0 * down[0], [1] * len(down)
         factors = _factor(down, up, shift)
     best, stalls = None, 0
     while True:
         y = _substitute(factors, up, v)
         lo, hi = _collatz_wielandt(v, y)
-        if hi - lo <= tol:
-            while seeded and hi - lo > mpmath.ldexp(shift + lo, 40 - mp.prec):
-                v, y = y, _substitute(factors, up, y)
-                polished = _collatz_wielandt(v, y)
-                if polished[1] - polished[0] >= hi - lo:
-                    break
-                lo, hi = polished
+        if hi - lo <= mpmath.ldexp(shift + lo, 40 - mp.prec):
             return shift + lo, shift + hi
         if best is None or hi - lo < best:
             best, stalls = hi - lo, 0
@@ -317,7 +309,7 @@ def _perron_bracket(down, up, tol):
             stalls += 1
             if stalls > _STALL_LIMIT:
                 raise PrecisionExhaustedError(
-                    "Perron bracket stopped shrinking above tol; raise the precision"
+                    "Perron bracket stopped shrinking; raise the precision"
                 )
         trial = _next_shift(shift, lo, hi)
         v = y
@@ -347,14 +339,6 @@ def _irreducible_blocks(down, up):
     return blocks
 
 
-def _smallest_eigenvalue(down, up, tol):
-    """Bracket of the smallest eigenvalue of M: the least over its
-    irreducible blocks (`_irreducible_blocks`).
-    """
-    brackets = [_perron_bracket(down[a:b], up[a:b], tol) for a, b in _irreducible_blocks(down, up)]
-    return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
-
-
 def _decay_index(ladder: RateLadder) -> int:
     """Rank of the decay parameter among the eigenvalues, smallest first:
     n for a restricted sub-generator, n - 1 for an irreducible ladder.
@@ -370,19 +354,16 @@ def _decay_index(ladder: RateLadder) -> int:
     return k
 
 
-def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
-    """Raise PrecisionExhaustedError when |zeta| <= max(tol, max out-rate
-    2^-(mantissa_bits - 24) n), the round-off floor at the working precision.
+def _zeta_bracket(ladder: RateLadder, ctx: PrecisionCtx):
+    """Bracket [lo, hi] of -zeta, the smallest eigenvalue of M, as mpf at
+    ctx.mantissa_bits: the least over its irreducible blocks
+    (`_irreducible_blocks`).
     """
-    n = ladder.n_states
-    tol = to_mpf(ctx.default_tol)
-    scale = to_mpf(max(ladder.out_rate(j) for j in range(n)))
-    floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
-    if abs(zeta) <= floor:
-        raise PrecisionExhaustedError(
-            f"|zeta| <= resolution floor {mpmath.nstr(floor, 5)} "
-            f"at {ctx.mantissa_bits} bits; raise the precision"
-        )
+    _decay_index(ladder)  # raises for a ladder with no decay parameter
+    with mp.workprec(ctx.mantissa_bits):
+        down, up = [[to_mpf(r) for r in rates] for rates in _m_matrix_rates(ladder)]
+        brackets = [_perron_bracket(down[a:b], up[a:b]) for a, b in _irreducible_blocks(down, up)]
+        return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 
 def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
@@ -391,50 +372,39 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     Irreducible ladder: second-largest eigenvalue (the largest is exactly 0
     for a generator / shift of 1 for a stochastic matrix), through the
     Siegmund dual.  Restricted sub-generator: largest eigenvalue.  Closes
-    the Collatz-Wielandt bracket to width <= ctx.default_tol in mpf
-    arithmetic at ctx.mantissa_bits and returns its midpoint as an mpf.
-    A float prelude finds the shift, and the mpf stage certifies the
-    bracket and then polishes it, for as long as a pass narrows it, to a
-    width of 2^-(mantissa_bits - 40) |zeta|.
-    Where zeta or its Perron vector leaves double range (|zeta| below about
-    1e-308) there is no prelude and no polish: the mpf iteration runs from
-    shift 0 and stops once the width is <= ctx.default_tol.
+    the Collatz-Wielandt bracket in mpf arithmetic at ctx.mantissa_bits to
+    a width of 2^-(mantissa_bits - 40) |zeta|, at any size and scale of
+    zeta, and returns its midpoint as an mpf.
 
-    Raises PrecisionExhaustedError when the located value is within the
-    round-off floor of 0, i.e. the working precision cannot separate the
-    decay parameter from the trivial eigenvalue, and also, naming the
-    states, when M is singular (a closed transient class with no exit).
+    Raises PrecisionExhaustedError when the bracket stops narrowing short of
+    that width, and, naming the states, when M is singular (a closed
+    transient class with no exit).
     """
     ctx = ctx or PrecisionCtx()
-    _decay_index(ladder)  # raises for a ladder with no decay parameter
-    down, up = _m_matrix_rates(ladder)
-
+    lo, hi = _zeta_bracket(ladder, ctx)
     with mp.workprec(ctx.mantissa_bits):
-        tol = to_mpf(ctx.default_tol)
-        bracket = _smallest_eigenvalue([to_mpf(r) for r in down], [to_mpf(r) for r in up], tol)
-        zeta = -(bracket[0] + bracket[1]) / 2
-        _check_resolved(zeta, ladder, ctx)
-        return +zeta
+        return -(lo + hi) / 2
 
 
 def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayReport:
     """Exact decay parameter plus Lagrange orders 1-3 and both bounds.
 
     Checks (and reports) the ordering zeta <= newton <= -f0/f1 < 0 and
-    L2 <= L1.
+    L2 <= L1.  zeta <= newton holds when the low end of zeta's bracket is
+    at most the Newton bound, up to 4n ulps of |zeta|: rounding in the
+    elimination over n rows moves the bracket ends, by 50 ulps at n = 2000.
     """
     ctx = ctx or PrecisionCtx()
     kmax = min(3, ladder.embedded().n_states - 1)
     coeffs = char_coeffs(ladder, kmax=kmax)
     lag = {order: lagrange_zeta(coeffs, order) for order in (1, 2, 3)}
     nb = newton_bound(coeffs, mantissa_bits=ctx.mantissa_bits)
-    zeta = exact_zeta(ladder, ctx)
+    lo, hi = _zeta_bracket(ladder, ctx)
     with mp.workprec(ctx.mantissa_bits):
+        zeta = -(lo + hi) / 2
         l1, l2 = to_mpf(lag[1]), to_mpf(lag[2])
-        z = to_mpf(zeta)
-        # the Perron bracket's width tolerance, as slack on the exact value
-        slack = to_mpf(ctx.default_tol) * 2
-        ordering_ok = bool(z <= nb + slack and nb <= l1 and l1 < 0 and l2 <= l1)
+        slack = ladder.n_states * mpmath.ldexp(abs(zeta), 2 - ctx.mantissa_bits)
+        ordering_ok = bool(-hi <= nb + slack and nb <= l1 and l1 < 0 and l2 <= l1)
     return DecayReport(
         zeta_exact=zeta,
         zeta_lagrange=lag,

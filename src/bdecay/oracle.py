@@ -31,7 +31,6 @@ from ._numbers import to_float, to_mpf
 from .chain import GENERATOR, RateLadder, restrict_transient
 from .decay import (
     PrecisionCtx,
-    _check_resolved,
     _decay_index,
     _irreducible_blocks,
     _m_matrix_rates,
@@ -157,13 +156,28 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
     return eigs
 
 
+def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
+    """Raise PrecisionExhaustedError when |zeta| <= max(tol, max out-rate
+    2^-(mantissa_bits - 24) n), the round-off floor of a Sturm bracket of
+    absolute width ctx.default_tol at the working precision.
+    """
+    n = ladder.n_states
+    tol = to_mpf(ctx.default_tol)
+    scale = to_mpf(max(ladder.out_rate(j) for j in range(n)))
+    floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
+    if abs(zeta) <= floor:
+        raise PrecisionExhaustedError(
+            f"|zeta| <= resolution floor {mpmath.nstr(floor, 5)} "
+            f"at {ctx.mantissa_bits} bits; raise the precision"
+        )
+
+
 def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """Decay parameter by its index in the Sturm sequence (referee route).
 
     Same contract as `decay.exact_zeta`, with its admissibility checks,
-    closed-class rule, eigenvalue index and round-off floor
-    (`decay._decay_index`, `decay._irreducible_blocks`,
-    `decay._check_resolved`).  The index selects the second-largest
+    closed-class rule and eigenvalue index (`decay._decay_index`,
+    `decay._irreducible_blocks`).  The index selects the second-largest
     eigenvalue of an irreducible ladder and the largest of a restricted
     sub-generator, which stays correct when the decay parameter clusters
     exponentially close to the zero eigenvalue.  Runs in mpf arithmetic at
@@ -171,6 +185,9 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     of width <= ctx.default_tol (`_sturm_eigenvalues`): bisection until the
     bracket isolates the eigenvalue, then Illinois steps on the determinant,
     a few dozen O(n) sweeps where bisection took about mantissa_bits/2.
+    That width is absolute, so a decay parameter within the round-off floor
+    of 0 raises PrecisionExhaustedError (`_check_resolved`); size the bits
+    by `decay.required_precision`.
     """
     ctx = ctx or PrecisionCtx()
     k = _decay_index(ladder)

@@ -52,9 +52,8 @@ def check_bound_ordering(level: str):
                 ladder = params.ladder()
                 if eps == 0:
                     ladder = chain.restrict_transient(ladder)
-                bits = decay.required_precision(n, to_float(x))
                 try:
-                    report = decay.decay_report(ladder, decay.PrecisionCtx(mantissa_bits=bits))
+                    report = decay.decay_report(ladder)
                 except decay.InconsistentCoefficientsError as exc:
                     return False, f"n={n} x={x} eps={eps}: {exc}"
                 rows.append(((n, str(x), str(eps)), report.ordering_ok))
@@ -207,10 +206,9 @@ def check_zeta_lifetime_product(level: str):
     n, x = 100, Fraction(2)
     params = sis.EpsSisParams.from_x(n, x, Fraction(1), 0)
     sub = chain.restrict_transient(params.ladder())
-    ctx = decay.PrecisionCtx(mantissa_bits=decay.required_precision(n, 2))
-    z = decay.exact_zeta(sub, ctx)
+    z = decay.exact_zeta(sub)
     lifetime = sis.lifetime_direct(n, params.tau)
-    with mp.workprec(ctx.mantissa_bits):
+    with mp.workprec(128):
         resid = abs(to_mpf(z) * to_mpf(lifetime) + 1)
         if resid > 1e-6:
             return False, f"|zeta*F+1| = {float(resid):.2e} at n=100 x=2"

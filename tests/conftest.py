@@ -2,9 +2,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from mpmath import mp
 
-from bdecay import GENERATOR, RateLadder, ReducibleChainError
+from bdecay import GENERATOR, RateLadder, ReducibleChainError, decay
 from bdecay._numbers import to_mpf
 
 positive_rates = st.fractions(
@@ -24,6 +25,21 @@ def rational_ladders(draw, min_states=2, max_states=8, mode=GENERATOR):
     return RateLadder(
         up=[p / scale for p in up], down=[q / scale for q in down], mode=mode
     )
+
+
+@pytest.fixture
+def stall_perron(monkeypatch):
+    """stall_perron(rows) makes every Collatz-Wielandt bracket of a Perron
+    block with that many rows [1, 2], so the kernel's bracket never narrows.
+    """
+    ratios = decay._collatz_wielandt
+
+    def stall(rows):
+        monkeypatch.setattr(
+            decay, "_collatz_wielandt", lambda v, y: (1, 2) if len(v) == rows else ratios(v, y)
+        )
+
+    return stall
 
 
 # offdiag_sq and h_sq are exact when the ladder is; offdiag and h are their

@@ -12,15 +12,13 @@ import mpmath
 import pytest
 
 from bdecay import (
-    PrecisionCtx,
     build_eps_sis_ladder,
     exact_zeta,
     lifetime_direct,
-    required_precision,
     restrict_transient,
 )
 from bdecay import decay
-from bdecay.cli import _json_value, main
+from bdecay.cli import _fmt, _json_value, main
 from bdecay.validate import run_suite
 from sweep_reference import COLUMNS, reference_rows
 
@@ -123,8 +121,9 @@ class TestSweepCommand:
         assert len(lines) == 2 + 57 * 4
 
     @pytest.mark.parametrize("strict,want_rc", [(False, 0), (True, 1)])
-    def test_failed_row_fills_the_error_column(self, strict, want_rc, capsys):
-        argv = ["sweep", "--n-values", "4,60", "--x-values", "3", "--precision-bits", "64"]
+    def test_failed_row_fills_the_error_column(self, strict, want_rc, stall_perron, capsys):
+        stall_perron(60)
+        argv = ["sweep", "--n-values", "4,60", "--x-values", "3"]
         rc = main(argv + (["--strict"] if strict else []))
         captured = capsys.readouterr()
         assert rc == want_rc
@@ -132,7 +131,7 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(captured.out.split("\n", 1)[1])))
         assert [row["n"] for row in rows] == ["4", "60"]
         assert rows[0]["error"] == "" and rows[0]["zeta_exact"] != ""
-        assert rows[1]["error"].startswith("|zeta| <= resolution floor ")
+        assert rows[1]["error"] == "Perron bracket stopped shrinking; raise the precision"
         assert rows[1]["zeta_exact"] == ""
 
     def test_row_order_deterministic(self, capsys):
@@ -149,18 +148,28 @@ class TestJsonValue:
         # n = 1700, x = 3: zeta ~ -2.72e-318 is a subnormal double, whose
         # float form would be wrong from the 7th digit on
         n, x = 1700, Fraction(3)
-        bits = required_precision(n, x)
-        z = exact_zeta(restrict_transient(build_eps_sis_ladder(n, x / n, 1, 0)),
-                       PrecisionCtx(mantissa_bits=bits))
+        z = exact_zeta(restrict_transient(build_eps_sis_ladder(n, x / n, 1, 0)))
         value = _json_value(z)
         assert isinstance(value, str)
-        with mpmath.mp.workprec(bits):
+        with mpmath.mp.workprec(128):
             lifetime = lifetime_direct(n, mpmath.mpf(3) / n)
             assert abs(mpmath.mpf(value) * lifetime + 1) <= 1e-6
 
     def test_normal_and_zero_values_stay_numbers(self):
         assert _json_value(mpmath.mpf("-2.5e-300")) == -2.5e-300
         assert _json_value(0.0) == 0.0
+
+    def test_wide_mantissa_prints(self):
+        # Python converts no integer of more than 4300 digits to decimal
+        with mpmath.mp.workprec(16000):
+            value = -mpmath.mpf(1) / 3 * mpmath.mpf(10) ** -1875
+        assert _fmt(value) == _json_value(value) == "-3.3333333333333333e-1876"
+
+    def test_rational_below_double_range_keeps_its_digits(self):
+        # like the exact Lagrange values at n = 1750, x = 3 (~ -1.2e-327),
+        # which are -0.0 as doubles
+        value = Fraction(-1, 3 * 10**1875)
+        assert _fmt(value) == _json_value(value) == "-3.3333333333333332e-1876"
 
 
 class TestLifetimeCommand:
@@ -186,11 +195,11 @@ class TestLifetimeCommand:
         assert out["zeta_f_residual"] < 1e-4
 
     def test_lifetime_beyond_the_double_range(self, capsys):
-        # F ~ 7.6e314.  At x = 10 the default precision cannot resolve
-        # zeta ~ -1/F, so the zeta residual is asked for at 2400 bits.
-        rc = main(["lifetime", "--n", "520", "--x", "10", "--precision-bits", "2400"])
+        # F ~ 7.6e314, and the zeta residual resolves zeta ~ -1/F at 128 bits
+        rc = main(["lifetime", "--n", "520", "--x", "10"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
+        assert float(out["zeta_f_residual"]) < 1e-30
         exact = lifetime_direct(520, Fraction(10, 520))
         assert out["f_direct"] == out["f_taylor"] == out["e_t"]
         assert abs(Fraction(out["e_t"]) - exact) <= exact / 2 ** 52
@@ -224,13 +233,25 @@ class TestRegimesCommand:
 
 
 @pytest.mark.parametrize("command", ["decay", "lifetime"])
-def test_unresolved_zeta_exits_3(command, capsys):
-    rc = main([command, "--n", "60", "--x", "3", "--precision-bits", "64"])
+def test_unresolved_zeta_exits_3(command, stall_perron, capsys):
+    stall_perron(60)
+    rc = main([command, "--n", "60", "--x", "3"])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err.startswith("error: |zeta| <= resolution floor ")
-    assert captured.err.endswith(" at 64 bits; raise the precision\n")
+    assert captured.err == "error: Perron bracket stopped shrinking; raise the precision\n"
+
+
+def test_zeta_far_below_the_old_floor_exits_0(capsys):
+    # n = 200, x = 10: |zeta| ~ 6.8e-121, which n log2(x) + 96 bits with an
+    # absolute width of 2^-(bits/2) could not resolve
+    assert main(["decay", "--n", "200", "--x", "10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["lifetime", "--n", "200", "--x", "10"]) == 0
+    lifetime = json.loads(capsys.readouterr().out)
+    assert report["zeta_exact"] == -6.795100134755441e-121
+    assert report["bound_ordering_ok"] is True
+    assert lifetime["zeta_f_residual"] < 1e-30
 
 
 class TestSimulateCommand:

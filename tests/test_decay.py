@@ -1,4 +1,3 @@
-import hashlib
 import math
 from fractions import Fraction
 
@@ -103,7 +102,7 @@ class TestExactZeta:
             assert abs(z + (2 - mp.sqrt(2))) < 1e-12
 
     # the contract tests run the production kernel and its Sturm referee,
-    # which share the admissibility and round-off-floor rules
+    # which share the admissibility and closed-class rules
     @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
     def test_reducible_unrestricted_rejected(self, zeta_fn):
         with pytest.raises(ReducibleChainError, match="^exact_zeta needs an irreducible ladder"):
@@ -114,14 +113,18 @@ class TestExactZeta:
         with pytest.raises(ReducibleChainError, match="^a single-state chain has no decay"):
             zeta_fn(RateLadder(up=[], down=[], mode=GENERATOR))
 
-    @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
-    def test_precision_exhausted_on_tiny_eigenvalue(self, zeta_fn):
-        # x = 3, n = 60: |zeta| ~ 5e-12 sits below the 64-bit resolution floor
+    def test_tiny_eigenvalue_at_64_bits(self):
+        # x = 3, n = 60: |zeta| ~ 5e-12.  The Perron kernel stops relative to
+        # zeta and resolves it at 64 bits; the Sturm referee's absolute width
+        # 2^-32 cannot, and it raises at its round-off floor
         sub = restrict_transient(build_eps_sis_ladder(60, Fraction(3, 60), 1, 0))
         with pytest.raises(PrecisionExhaustedError, match=r"resolution floor .* at 64 bits;"):
-            zeta_fn(sub, PrecisionCtx(mantissa_bits=64))
-        z = zeta_fn(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
-        assert -1e-10 < float(z) < 0
+            sturm_zeta(sub, PrecisionCtx(mantissa_bits=64))
+        z = exact_zeta(sub, PrecisionCtx(mantissa_bits=64))
+        ref = sturm_zeta(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
+        assert -1e-10 < float(ref) < 0
+        with mp.workprec(256):
+            assert abs(z - ref) <= mpmath.ldexp(abs(ref), 40 - 64)
 
     @settings(max_examples=10, deadline=None)
     @given(rational_ladders(min_states=3, max_states=9))
@@ -209,24 +212,16 @@ class TestPerronAgainstSturm:
                 zeta_fn(sub, ctx)
             assert "raise the precision" not in str(err.value), zeta_fn.__name__
 
-    def test_tolerance_below_rounding_is_precision_exhausted(self):
-        # a 64-bit bracket cannot close to 1e-60: the kernel stops, not spins
+    def test_bracket_that_stops_narrowing_is_precision_exhausted(self, stall_perron):
+        # passes that never narrow the bracket: the kernel stops, not spins
         ladder = RateLadder(
             up=[Fraction(j % 7 + 1, 3) for j in range(30)],
             down=[Fraction(j % 5 + 2, 7) for j in range(30)],
             mode=GENERATOR,
         )
-        down, up = decay._m_matrix_rates(ladder)
-        with mp.workprec(64), pytest.raises(PrecisionExhaustedError):
-            decay._smallest_eigenvalue(
-                [to_mpf(r) for r in down], [to_mpf(r) for r in up], mp.mpf("1e-60")
-            )
-
-
-def mpf_digest(z):
-    """A digest of every bit of an mpf: sign, mantissa and exponent."""
-    sign, man, exp, _ = z._mpf_
-    return hashlib.sha256(f"{sign} {int(man)} {exp}".encode()).hexdigest()[:16]
+        stall_perron(30)
+        with pytest.raises(PrecisionExhaustedError, match="^Perron bracket stopped shrinking"):
+            exact_zeta(ladder, PrecisionCtx(mantissa_bits=64))
 
 
 def assert_near_working_precision(ladder, bits):
@@ -265,23 +260,21 @@ class TestFloatSeededKernel:
         assert shifts[:2] == [above, 0]
 
     @pytest.mark.parametrize(
-        "ladder,bits,digest",
+        "ladder",
         [
             # zeta ~ -2.7e-318: the Perron vector overflows a double
-            (restrict_transient(build_eps_sis_ladder(1700, Fraction(3, 1700), 1, 0)),
-             required_precision(1700, 3), "53bbdaf16241810d"),
+            restrict_transient(build_eps_sis_ladder(1700, Fraction(3, 1700), 1, 0)),
             # a rate of 1e-400 is 0 as a double; zeta ~ -1e-400
-            (RateLadder(up=[1, TINY, 1], down=[1, TINY, 1], mode=GENERATOR),
-             3000, "e67e2ea5c5ce3713"),
+            RateLadder(up=[1, TINY, 1], down=[1, TINY, 1], mode=GENERATOR),
         ],
         ids=["n1700_x3", "rate_1e-400"],
     )
-    def test_prelude_declines_outside_double_range(self, ladder, bits, digest):
-        # the digests are of the one-stage kernel's results, before the prelude
+    def test_prelude_declines_outside_double_range(self, ladder):
+        # the mpf iteration then runs from shift 0, to the same relative stop
         down, up = decay._m_matrix_rates(ladder)
-        with mp.workprec(bits):
+        with mp.workprec(128):
             assert decay._float_start([to_mpf(r) for r in down], [to_mpf(r) for r in up]) is None
-        assert mpf_digest(exact_zeta(ladder, PrecisionCtx(mantissa_bits=bits))) == digest
+        assert_near_working_precision(ladder, 128)
 
     @pytest.mark.parametrize(
         "n,x", [(100, Fraction(1, 2)), (200, 1), (300, 2), (400, 3)],
@@ -289,7 +282,7 @@ class TestFloatSeededKernel:
     )
     def test_polished_to_working_precision_absorbing(self, n, x):
         sub = restrict_transient(build_eps_sis_ladder(n, Fraction(x, n), 1, 0))
-        assert_near_working_precision(sub, required_precision(n, x))
+        assert_near_working_precision(sub, 128)
 
     @settings(max_examples=25, deadline=None)
     @given(rational_ladders(min_states=2, max_states=12))
@@ -338,6 +331,20 @@ class TestDecayReport:
     @given(rational_ladders(min_states=3, max_states=7))
     def test_ordering_invariant_random(self, ladder):
         assert decay_report(ladder).ordering_ok
+
+    def test_newton_bound_a_few_ulps_below_the_bracket_is_ordered(self):
+        # at 128 bits the rounded Newton bound lands some 10 ulps of zeta
+        # below the low end of zeta's bracket here, so a zero slack fails
+        sub = restrict_transient(build_eps_sis_ladder(400, Fraction(2, 400), 1, 0))
+        assert decay_report(sub).ordering_ok
+
+    def test_newton_bound_below_zeta_is_a_violation(self, monkeypatch):
+        sub = restrict_transient(build_eps_sis_ladder(40, Fraction(2, 40), 1, 0))
+        z = exact_zeta(sub)
+        with mp.workprec(128):
+            below = z - mpmath.ldexp(abs(z), -40)
+        monkeypatch.setattr(decay, "newton_bound", lambda coeffs, mantissa_bits: below)
+        assert not decay_report(sub).ordering_ok
 
     @pytest.mark.parametrize("n", [4, 10, 25, 40])
     @pytest.mark.parametrize("x", [2, 3])
