@@ -113,18 +113,21 @@ class TestExactZeta:
         with pytest.raises(ReducibleChainError, match="^a single-state chain has no decay"):
             zeta_fn(RateLadder(up=[], down=[], mode=GENERATOR))
 
-    def test_tiny_eigenvalue_at_64_bits(self):
-        # x = 3, n = 60: |zeta| ~ 5e-12.  The Perron kernel stops relative to
-        # zeta and resolves it at 64 bits; the Sturm referee's absolute width
-        # 2^-32 cannot, and it raises at its round-off floor
+    @pytest.mark.parametrize("zeta_fn", [exact_zeta, sturm_zeta], ids=lambda f: f.__name__)
+    def test_precision_exhausted_on_tiny_eigenvalue(self, zeta_fn):
+        # x = 3, n = 60: |zeta| ~ 5e-12.  The Sturm referee's absolute width
+        # 2^-32 cannot resolve it at 64 bits and raises at its round-off floor;
+        # the Perron kernel stops relative to zeta and resolves it there
         sub = restrict_transient(build_eps_sis_ladder(60, Fraction(3, 60), 1, 0))
-        with pytest.raises(PrecisionExhaustedError, match=r"resolution floor .* at 64 bits;"):
-            sturm_zeta(sub, PrecisionCtx(mantissa_bits=64))
-        z = exact_zeta(sub, PrecisionCtx(mantissa_bits=64))
         ref = sturm_zeta(sub, PrecisionCtx(mantissa_bits=required_precision(60, 3)))
         assert -1e-10 < float(ref) < 0
-        with mp.workprec(256):
-            assert abs(z - ref) <= mpmath.ldexp(abs(ref), 40 - 64)
+        if zeta_fn is sturm_zeta:
+            with pytest.raises(PrecisionExhaustedError, match=r"resolution floor .* at 64 bits;"):
+                zeta_fn(sub, PrecisionCtx(mantissa_bits=64))
+        else:
+            z = zeta_fn(sub, PrecisionCtx(mantissa_bits=64))
+            with mp.workprec(256):
+                assert abs(z - ref) <= mpmath.ldexp(abs(ref), 40 - 64)
 
     @settings(max_examples=10, deadline=None)
     @given(rational_ladders(min_states=3, max_states=9))
