@@ -26,7 +26,11 @@ def all_exact(values) -> bool:
 
 
 def as_number(x):
-    """Canonicalize a rate-like input: ints become Fractions, floats stay."""
+    """Canonicalize a rate-like input: ints become Fractions, Fractions and
+    floats stay.
+    """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError("bool is not a valid rate")
     if isinstance(x, Rational):

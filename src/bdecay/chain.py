@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._numbers import all_exact, as_number, is_exact
 from .errors import (
@@ -69,8 +70,9 @@ class RateLadder:
     def n_states(self) -> int:
         return len(self.up) + 1
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """True when every rate is exact; computed once per ladder."""
         return all_exact(self.up) and all_exact(self.down) and is_exact(self.loss0)
 
     @property
@@ -133,10 +135,16 @@ def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
     """Ladder of the self-exciting SIS process on the complete graph K_n.
 
     Up-rates (beta*j + eps)*(n - j), down-rates j*delta on states 0..n.
-    With eps = 0 state 0 is absorbing and the ladder is reducible.
+    With eps = 0 state 0 is absorbing and the ladder is reducible.  For
+    exact beta and eps each up-rate is one Fraction of integers,
+    (a d j + c b)(n - j) / (b d) with beta = a/b and eps = c/d.
     """
     n, beta, delta, eps = _sis_inputs(n, beta, delta, eps)
-    up = tuple((beta * j + eps) * (n - j) for j in range(n))
+    if is_exact(beta) and is_exact(eps):
+        a, b, c, d = beta.numerator, beta.denominator, eps.numerator, eps.denominator
+        up = tuple(Fraction((a * d * j + c * b) * (n - j), b * d) for j in range(n))
+    else:
+        up = tuple((beta * j + eps) * (n - j) for j in range(n))
     down = tuple(j * delta for j in range(1, n + 1))
     return RateLadder(up=up, down=down, mode=GENERATOR)
 

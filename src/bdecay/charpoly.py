@@ -9,8 +9,9 @@ characteristic coefficients
 
     f_0 = 1/pi_0,      f_k = sum_{j>=k} c_k(j) / prod_{m<j} q_{m+1}   (k >= 1),
 
-whose zeros are the nonzero eigenvalues.  Everything here is exact when the
-ladder rates are exact.
+whose zeros are the nonzero eigenvalues; with c_0(j) = p_0 ... p_{j-1} the
+sum gives f_0 at k = 0 too.  Everything here is exact when the ladder rates
+are exact.
 
 For a restricted sub-generator (loss0 > 0) the table is built on the embedded
 full ladder (p_0 = 0 re-attached), for which f_0 = 1 automatically: the zeros
@@ -23,8 +24,9 @@ it yields the ints c'_k(j) = D^(j-k) c_k(j).  Then
 
     f_k = D^k T_N / (Q_1 ... Q_N),    T_j = T_{j-1} Q_j + c'_k(j),  T_{k-1} = 0,
 
-so each f_k is one Fraction normalisation of an integer Horner sum, instead
-of a gcd of ever larger numbers at every step of the recursion.
+so each f_k, f_0 included, is one Fraction normalisation of an integer
+Horner sum, instead of a gcd of ever larger numbers at every step of the
+recursion.
 """
 
 from __future__ import annotations
@@ -214,12 +216,13 @@ class CharCoeffs:
 def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
     """Characteristic coefficients f_0..f_kmax (default: the full vector).
 
-    f_0 is evaluated through the product form sum_k prod_{m<k} p_m/q_{m+1}
-    (equal to 1/pi_0 for irreducible ladders and exactly 1 for restricted
-    sub-generators); higher f_k come from the coefficient-table rows.  For an
-    exact ladder the rows run on the integer lattice of `chain._rate_lattice`
-    and each f_k is one Fraction of an integer Horner sum (module docstring);
-    float and mpf ladders sum c_k(j) / prod_{m<j} q_{m+1} term by term.
+    f_0 is the product form sum_k prod_{m<k} p_m/q_{m+1} (equal to 1/pi_0
+    for irreducible ladders and exactly 1 for restricted sub-generators);
+    higher f_k come from the coefficient-table rows.  For an exact ladder the
+    rows run on the integer lattice of `chain._rate_lattice` and each f_k,
+    f_0 included (c_0(j) = p_0 ... p_{j-1}), is one Fraction of an integer
+    Horner sum (module docstring); float and mpf ladders sum the product
+    weights for f_0 and c_k(j) / prod_{m<j} q_{m+1} term by term.
 
     Raises ReducibleChainError for an unrestricted reducible ladder and for a
     sub-generator with a zero interior down-rate q_j: the states from j up
@@ -242,28 +245,27 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
         kmax = N
     if not 0 <= kmax <= N:
         raise ValueError(f"kmax must lie in [0, N] = [0, {N}]")
-    f = [sum(_product_weights(base))]
     if base.exact:
         scale, p, q = _rate_lattice(base)
         norm = math.prod(q[1:])
-        rows = _coefficient_rows(p, q, kmax, 1)
-    else:
-        p, q = _pq(base)
-        rows = _coefficient_rows(p, q, kmax, 1.0)
-    next(rows)  # c_0 only seeds c_1
-    for k, row in enumerate(rows, start=1):
-        if base.exact:
+        f = []
+        for k, row in enumerate(_coefficient_rows(p, q, kmax, 1)):
             total = 0
             for q_j, c in zip(q[k:], row):  # j = k..N
                 total = total * q_j + c
             f.append(Fraction(scale**k * total, norm))
-        else:
-            s, dq = 0.0, 1.0
-            for j in range(1, N + 1):
-                dq = dq * q[j]
-                if j >= k:
-                    s = s + row[j - k] / dq
-            f.append(s)
+        return CharCoeffs(f=tuple(f), n=N)
+    p, q = _pq(base)
+    rows = _coefficient_rows(p, q, kmax, 1.0)
+    next(rows)  # c_0 only seeds c_1
+    f = [sum(_product_weights(base))]
+    for k, row in enumerate(rows, start=1):
+        s, dq = 0.0, 1.0
+        for j in range(1, N + 1):
+            dq = dq * q[j]
+            if j >= k:
+                s = s + row[j - k] / dq
+        f.append(s)
     return CharCoeffs(f=tuple(f), n=N)
 
 

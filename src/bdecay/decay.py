@@ -25,6 +25,13 @@ lambda_1, relative to lambda_1.  The elimination is subtraction-free (Alfa,
 Xue & Ye, Math. Comp. 71, 2002), so this relative width is reachable at a
 fixed working precision, PrecisionCtx's 128 bits by default, whatever the
 size of the ladder or the scale of zeta.
+
+The mpf iteration runs on mpmath's raw mpf values (`_mpf_` tuples) through
+`mpmath.libmp`, every operation rounded to nearest at mp.prec: the values
+the mpf operators give, without an mpf object per operation.  The generic
+`_factor` and `_substitute` run the float prelude and the exact Fraction
+solve of `oracle.hitting_time_solve`, and referee the raw loops in the
+tests.
 """
 
 from __future__ import annotations
@@ -35,6 +42,20 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_float,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from ._numbers import to_mpf
 from .chain import RateLadder
@@ -51,10 +72,10 @@ from .errors import (
 class PrecisionCtx:
     """Working precision of the ζ kernel and of its Sturm referee.
 
-    All pivots are mpf numbers with `mantissa_bits` of mantissa.  The Perron
-    kernel closes ζ's bracket to 2^-(mantissa_bits - 40) |ζ|; the Sturm
-    referee closes its brackets to the absolute width `default_tol` =
-    2^-(mantissa_bits/2).
+    Every operation of the ζ kernel rounds to nearest at `mantissa_bits` of
+    mantissa, on mpmath's raw mpf values.  The Perron kernel closes ζ's
+    bracket to 2^-(mantissa_bits - 40) |ζ|; the Sturm referee closes its
+    brackets to the absolute width `default_tol` = 2^-(mantissa_bits/2).
     """
 
     mantissa_bits: int = 128
@@ -270,6 +291,65 @@ def _float_start(down, up):
     return start
 
 
+def _raw_factor(down, up, s, prec):
+    """`_factor` on raw mpf values (mpmath's `_mpf_` tuples), each operation
+    rounded to nearest at prec: the values the mpf operators give at
+    mp.prec = prec, without an mpf object per operation.
+    """
+    weights, pivots = [], []
+    r = d = fone
+    for l, u in zip(down, up):
+        w = mpf_div(l, d, prec, round_nearest)
+        r = mpf_sub(mpf_mul(w, r, prec, round_nearest), s, prec, round_nearest)
+        d = mpf_add(r, u, prec, round_nearest)
+        if mpf_le(d, fzero):
+            return None
+        weights.append(w)
+        pivots.append(d)
+    return weights, pivots
+
+
+def _raw_substitute(factors, up, v, prec):
+    """`_substitute` on raw mpf values, rounded to nearest at prec."""
+    weights, pivots = factors
+    sums = []
+    g = fzero
+    for w, vi in zip(weights, v):
+        g = mpf_add(vi, mpf_mul(w, g, prec, round_nearest), prec, round_nearest)
+        sums.append(g)
+    y = [None] * len(v)
+    acc = fzero
+    for i in range(len(v) - 1, -1, -1):
+        acc = mpf_add(sums[i], mpf_mul(up[i], acc, prec, round_nearest), prec, round_nearest)
+        acc = mpf_div(acc, pivots[i], prec, round_nearest)
+        y[i] = acc
+    return y
+
+
+def _raw_collatz_wielandt(v, y, prec):
+    """`_collatz_wielandt` on raw mpf values, rounded to nearest at prec."""
+    lo = hi = None
+    for a, b in zip(v, y):
+        ratio = mpf_div(a, b, prec, round_nearest)
+        if lo is None:
+            lo = hi = ratio
+        elif mpf_lt(ratio, lo):
+            lo = ratio
+        elif mpf_gt(ratio, hi):
+            hi = ratio
+    return lo, hi
+
+
+def _raw_next_shift(shift, lo, hi, prec):
+    """`_next_shift` on raw mpf values, rounded to nearest at prec."""
+    width = mpf_sub(hi, lo, prec, round_nearest)
+    step = mpf_shift(lo, -16)
+    if mpf_lt(step, width):
+        width = step
+    trial = mpf_sub(mpf_add(shift, lo, prec, round_nearest), width, prec, round_nearest)
+    return trial if mpf_gt(trial, shift) else shift
+
+
 def _perron_bracket(down, up):
     """Bracket [lo, hi] of the smallest eigenvalue lambda_1 of one
     irreducible block, of width <= 2^-(prec - 40) lambda_1.
@@ -288,32 +368,39 @@ def _perron_bracket(down, up):
     in mpf (rounding put it above lambda_1), it starts from shift 0 and the
     ones vector.  A bracket that stops narrowing raises
     PrecisionExhaustedError.
+
+    The mpf iteration runs on the raw values of the `_raw_*` functions at
+    mp.prec; the rates and the float start are converted once.
     """
+    prec = mp.prec
+    rdown, rup = [r._mpf_ for r in down], [r._mpf_ for r in up]
     start = _float_start(down, up)
     factors = None
     if start is not None:
-        shift, v = mpmath.mpf(start[0]), start[1]
-        factors = _factor(down, up, shift)
+        shift, v = from_float(start[0]), [from_float(a) for a in start[1]]
+        factors = _raw_factor(rdown, rup, shift, prec)
     if factors is None:
-        shift, v = 0 * down[0], [1] * len(down)
-        factors = _factor(down, up, shift)
+        shift, v = fzero, [fone] * len(down)
+        factors = _raw_factor(rdown, rup, shift, prec)
     best, stalls = None, 0
     while True:
-        y = _substitute(factors, up, v)
-        lo, hi = _collatz_wielandt(v, y)
-        if hi - lo <= mpmath.ldexp(shift + lo, 40 - mp.prec):
-            return shift + lo, shift + hi
-        if best is None or hi - lo < best:
-            best, stalls = hi - lo, 0
+        y = _raw_substitute(factors, rup, v, prec)
+        lo, hi = _raw_collatz_wielandt(v, y, prec)
+        width = mpf_sub(hi, lo, prec, round_nearest)
+        base = mpf_add(shift, lo, prec, round_nearest)
+        if mpf_le(width, mpf_shift(base, 40 - prec)):
+            return mp.make_mpf(base), mp.make_mpf(mpf_add(shift, hi, prec, round_nearest))
+        if best is None or mpf_lt(width, best):
+            best, stalls = width, 0
         else:
             stalls += 1
             if stalls > _STALL_LIMIT:
                 raise PrecisionExhaustedError(
                     "Perron bracket stopped shrinking; raise the precision"
                 )
-        trial = _next_shift(shift, lo, hi)
+        trial = _raw_next_shift(shift, lo, hi, prec)
         v = y
-        trial_factors = _factor(down, up, trial)
+        trial_factors = _raw_factor(rdown, rup, trial, prec)
         if trial_factors is not None:
             shift, factors = trial, trial_factors
 
@@ -321,14 +408,14 @@ def _perron_bracket(down, up):
 def _irreducible_blocks(down, up):
     """(a, b) of each irreducible block, rows a..b-1, of M.
 
-    A zero coupling product down_i up_{i-1} makes M block-triangular, and
-    the rate across the cut is killing for its block.  A block with no
+    A zero coupling, down_i or up_{i-1}, makes M block-triangular, and the
+    rate across the cut is killing for its block.  A block with no
     killing at either edge (down_a = up_{b-1} = 0) is a closed class: M is
     singular, zeta is 0 at every precision, and PrecisionExhaustedError
     names the block's rows.
     """
     m = len(down)
-    cuts = [0] + [i for i in range(1, m) if down[i] * up[i - 1] == 0] + [m]
+    cuts = [0] + [i for i in range(1, m) if down[i] == 0 or up[i - 1] == 0] + [m]
     blocks = list(zip(cuts, cuts[1:]))
     for a, b in blocks:
         if down[a] == 0 and up[b - 1] == 0:
@@ -395,7 +482,7 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
     elimination over n rows moves the bracket ends, by 50 ulps at n = 2000.
     """
     ctx = ctx or PrecisionCtx()
-    kmax = min(3, ladder.embedded().n_states - 1)
+    kmax = min(3, ladder.n_states if ladder.is_subgenerator else ladder.n_states - 1)
     coeffs = char_coeffs(ladder, kmax=kmax)
     lag = {order: lagrange_zeta(coeffs, order) for order in (1, 2, 3)}
     nb = newton_bound(coeffs, mantissa_bits=ctx.mantissa_bits)

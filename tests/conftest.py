@@ -27,16 +27,32 @@ def rational_ladders(draw, min_states=2, max_states=8, mode=GENERATOR):
     )
 
 
+@st.composite
+def rational_subgenerators(draw, min_states=1, max_states=8):
+    """Restricted sub-generators (loss0 > 0) with small exact-rational rates;
+    a zero up-rate cuts M into irreducible blocks.
+    """
+    width = draw(st.integers(min_value=min_states - 1, max_value=max_states - 1))
+    up_rates = st.one_of(st.just(Fraction(0)), positive_rates)
+    up = draw(st.lists(up_rates, min_size=width, max_size=width))
+    down = draw(st.lists(positive_rates, min_size=width, max_size=width))
+    return RateLadder(up=up, down=down, mode=GENERATOR, loss0=draw(positive_rates))
+
+
 @pytest.fixture
 def stall_perron(monkeypatch):
-    """stall_perron(rows) makes every Collatz-Wielandt bracket of a Perron
-    block with that many rows [1, 2], so the kernel's bracket never narrows.
+    """stall_perron(rows) makes every mpf Collatz-Wielandt bracket of a
+    Perron block with that many rows [1, 2], so the kernel's bracket never
+    narrows.
     """
-    ratios = decay._collatz_wielandt
+    ratios = decay._raw_collatz_wielandt
+    one_two = (mp.one._mpf_, mp.mpf(2)._mpf_)
 
     def stall(rows):
         monkeypatch.setattr(
-            decay, "_collatz_wielandt", lambda v, y: (1, 2) if len(v) == rows else ratios(v, y)
+            decay,
+            "_raw_collatz_wielandt",
+            lambda v, y, prec: one_two if len(v) == rows else ratios(v, y, prec),
         )
 
     return stall

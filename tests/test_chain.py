@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import mp
 
 from bdecay import (
     GENERATOR,
@@ -13,10 +15,12 @@ from bdecay import (
     ReducibleChainError,
     UnsupportedStructureError,
     build_eps_sis_ladder,
+    char_coeffs,
     restrict_transient,
     steady_state,
 )
-from conftest import rational_ladders, symmetrize
+from bdecay.chain import _product_weights
+from conftest import rational_ladders, rational_subgenerators, symmetrize
 from paper_formulas import dense_matrix
 
 
@@ -46,6 +50,36 @@ class TestBuildEpsSis:
     def test_negative_eps_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_eps_sis_ladder(3, 1, 1, -1)
+
+
+sis_rates = st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=50)
+
+
+class TestExactRatePlumbing:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=30),
+        sis_rates,
+        sis_rates,
+        st.one_of(st.just(Fraction(0)), sis_rates),
+        st.sampled_from([Fraction, float, mp.mpf]),
+    )
+    def test_eps_sis_rates_are_the_formula(self, n, beta, delta, eps, kind):
+        # one Fraction per exact rate; floats and mpf keep the formula's rounding
+        convert = kind if kind is Fraction else lambda v: kind(float(v))
+        beta, delta, eps = convert(beta), convert(delta), convert(eps)
+        ladder = build_eps_sis_ladder(n, beta, delta, eps)
+        expected = [(beta * j + eps) * (n - j) for j in range(n)]
+        assert [type(r) for r in ladder.up] == [type(r) for r in expected]
+        assert list(ladder.up) == expected
+        assert ladder.down == tuple(j * delta for j in range(1, n + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(rational_ladders(max_states=12), rational_subgenerators(max_states=12)))
+    def test_lattice_f0_is_the_product_form(self, ladder):
+        f0 = char_coeffs(ladder, kmax=0).f[0]
+        assert type(f0) is Fraction
+        assert f0 == sum(_product_weights(ladder.embedded()))
 
 
 class TestSteadyState:

@@ -28,7 +28,7 @@ from bdecay import (
 from bdecay import decay
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum, sturm_zeta
-from conftest import rational_ladders
+from conftest import rational_ladders, rational_subgenerators
 
 
 def two_node_coeffs():
@@ -251,14 +251,14 @@ class TestFloatSeededKernel:
         above = -2 * float(unseeded)
         monkeypatch.setattr(decay, "_float_start", lambda down, up: (above, [1.0] * len(down)))
         shifts = []
-        factor = decay._factor
+        factor = decay._raw_factor
 
-        def counted(down, up, s):
-            shifts.append(s)
+        def counted(down, up, s, prec):
+            shifts.append(mp.make_mpf(s))
             assert len(shifts) < 100, "the Perron iteration does not end"
-            return factor(down, up, s)
+            return factor(down, up, s, prec)
 
-        monkeypatch.setattr(decay, "_factor", counted)
+        monkeypatch.setattr(decay, "_raw_factor", counted)
         assert exact_zeta(ladder, ctx)._mpf_ == unseeded._mpf_
         assert shifts[:2] == [above, 0]
 
@@ -291,6 +291,103 @@ class TestFloatSeededKernel:
     @given(rational_ladders(min_states=2, max_states=12))
     def test_polished_to_working_precision_random(self, ladder):
         assert_near_working_precision(ladder, 128)
+
+
+def mpf_blocks(ladder):
+    """(down, up) of each irreducible block of M as mpf at the current precision."""
+    down, up = [[to_mpf(r) for r in rates] for rates in decay._m_matrix_rates(ladder)]
+    return [(down[a:b], up[a:b]) for a, b in decay._irreducible_blocks(down, up)]
+
+
+def raw(values):
+    return [x._mpf_ for x in values]
+
+
+def generic_perron_bracket(down, up):
+    """`decay._perron_bracket`'s iteration on mpf objects through the generic
+    `_factor`, `_substitute`, `_collatz_wielandt` and `_next_shift`.
+    """
+    start = decay._float_start(down, up)
+    factors = None
+    if start is not None:
+        shift, v = mpmath.mpf(start[0]), start[1]
+        factors = decay._factor(down, up, shift)
+    if factors is None:
+        shift, v = 0 * down[0], [1] * len(down)
+        factors = decay._factor(down, up, shift)
+    for _ in range(200):
+        y = decay._substitute(factors, up, v)
+        lo, hi = decay._collatz_wielandt(v, y)
+        if hi - lo <= mpmath.ldexp(shift + lo, 40 - mp.prec):
+            return shift + lo, shift + hi
+        trial = decay._next_shift(shift, lo, hi)
+        v = y
+        trial_factors = decay._factor(down, up, trial)
+        if trial_factors is not None:
+            shift, factors = trial, trial_factors
+    raise AssertionError("the generic iteration does not end")
+
+
+kernel_ladders = st.one_of(
+    rational_ladders(min_states=2, max_states=12), rational_subgenerators(max_states=12)
+)
+kernel_bits = st.sampled_from([128, 730])
+
+
+class TestRawKernel:
+    """The Perron kernel's loops on raw mpf values give, bit for bit, what the
+    generic elimination gives on mpf objects at the same precision.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_ladders, kernel_bits, st.data())
+    def test_steps_match_the_generic_elimination(self, ladder, bits, data):
+        with mp.workprec(bits):
+            for down, up in mpf_blocks(ladder):
+                lam, _ = generic_perron_bracket(down, up)
+                fraction = st.fractions(0, Fraction(999, 1000), max_denominator=1000)
+                below = lam * to_mpf(data.draw(fraction))
+                floats = st.floats(min_value=1e-3, max_value=1.0)
+                v_float = data.draw(st.lists(floats, min_size=len(down), max_size=len(down)))
+                above = 2 * lam
+                assert decay._factor(down, up, above) is None
+                assert decay._raw_factor(raw(down), raw(up), above._mpf_, bits) is None
+                for shift in (0 * lam, below):
+                    factors = decay._factor(down, up, shift)
+                    raw_factors = decay._raw_factor(raw(down), raw(up), shift._mpf_, bits)
+                    assert raw_factors == tuple(map(raw, factors))
+                    for v in ([1] * len(down), v_float):
+                        raw_v = [to_mpf(a)._mpf_ for a in v]
+                        y = decay._substitute(factors, up, v)
+                        raw_y = decay._raw_substitute(raw_factors, raw(up), raw_v, bits)
+                        assert raw_y == raw(y)
+                        lo, hi = decay._collatz_wielandt(v, y)
+                        raw_lo, raw_hi = decay._raw_collatz_wielandt(raw_v, raw_y, bits)
+                        assert (raw_lo, raw_hi) == (lo._mpf_, hi._mpf_)
+                        trial = decay._next_shift(shift, lo, hi)
+                        raw_trial = decay._raw_next_shift(shift._mpf_, raw_lo, raw_hi, bits)
+                        assert raw_trial == trial._mpf_
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_ladders, kernel_bits)
+    def test_bracket_matches_the_generic_iteration(self, ladder, bits):
+        with mp.workprec(bits):
+            for down, up in mpf_blocks(ladder):
+                assert raw(decay._perron_bracket(down, up)) == raw(generic_perron_bracket(down, up))
+
+    @pytest.mark.parametrize(
+        "n,x,eps,bits",
+        [(60, 3, Fraction(1, 10**5), 128), (30, Fraction(1, 2), Fraction(1, 10**5), 128),
+         (100, Fraction(1, 2), 0, 128), (400, 3, 0, 730)],
+        ids=["sweep_n60_x3", "sweep_n30_x1/2", "absorbing_n100_x1/2", "absorbing_n400_x3"],
+    )
+    def test_bracket_matches_the_generic_iteration_sis(self, n, x, eps, bits):
+        ladder = build_eps_sis_ladder(n, Fraction(x, n), 1, eps)
+        if eps == 0:
+            ladder = restrict_transient(ladder)
+        with mp.workprec(bits):
+            (down, up), = mpf_blocks(ladder)
+            assert raw(decay._perron_bracket(down, up)) == raw(generic_perron_bracket(down, up))
 
 
 class TestRequiredPrecision:

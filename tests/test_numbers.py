@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from mpmath import mp
 from mpmath.libmp import to_rational
 
-from bdecay._numbers import to_mpf
+from bdecay._numbers import as_number, to_mpf
+
+
+def test_as_number_keeps_a_fraction():
+    r = Fraction(3, 7)
+    assert as_number(r) is r
+    assert as_number(3) == 3 and type(as_number(3)) is Fraction
 
 
 def floor_log2(r: Fraction) -> int:
