@@ -42,7 +42,6 @@ from .decay import (
 from .errors import (
     BdecayError,
     DegenerateCoefficientsError,
-    DivergentIntegralError,
     DomainError,
     InconsistentCoefficientsError,
     InsufficientCoefficientsError,
@@ -64,7 +63,6 @@ from .sis import (
     LifetimeReport,
     RegimeEstimate,
     decay_regime,
-    exp_integral,
     lifetime_asymptotic,
     lifetime_direct,
     lifetime_expint,
@@ -85,14 +83,14 @@ __all__ = [
     "DecayReport", "PrecisionCtx", "decay_report", "exact_zeta", "lagrange_zeta",
     "newton_bound", "required_precision",
     # errors
-    "BdecayError", "DegenerateCoefficientsError", "DivergentIntegralError",
-    "DomainError", "InconsistentCoefficientsError", "InsufficientCoefficientsError",
+    "BdecayError", "DegenerateCoefficientsError", "DomainError",
+    "InconsistentCoefficientsError", "InsufficientCoefficientsError",
     "InvalidParameterError", "IrreducibleChainError", "PrecisionExhaustedError",
     "QuadratureFailureError", "ReducibleChainError", "UnsupportedStructureError",
     # oracle
     "GillespieResult", "gillespie_simulate", "hitting_time_solve", "survival_log_slope",
     # sis
     "EpsSisParams", "LifetimeReport", "RegimeEstimate", "decay_regime",
-    "exp_integral", "lifetime_asymptotic", "lifetime_direct", "lifetime_expint",
-    "lifetime_taylor", "mean_absorption_time", "taylor_coeffs",
+    "lifetime_asymptotic", "lifetime_direct", "lifetime_expint", "lifetime_taylor",
+    "mean_absorption_time", "taylor_coeffs",
 ]

@@ -45,10 +45,6 @@ class DomainError(BdecayError, ValueError):
     """Argument outside the validity domain of a closed form."""
 
 
-class DivergentIntegralError(BdecayError, ValueError):
-    """Requested integral diverges (e.g. exponential integral E_1 at 0)."""
-
-
 class QuadratureFailureError(BdecayError, ArithmeticError):
     """Adaptive quadrature did not reach the requested tolerance."""
 

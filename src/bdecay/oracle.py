@@ -198,7 +198,7 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
         return +zeta
 
 
-def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None):
+def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     """All eigenvalue shifts of the ladder matrix, sorted descending.
 
     Root isolation on the degree-(N+1) polynomial of the matrix via Sturm
@@ -206,16 +206,15 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None, tol=None
     come out with their multiplicities.  Works for reducible ladders (zero
     off-diagonal products decouple the blocks).  Runs in mpf arithmetic at
     ctx.mantissa_bits; each value is the midpoint of a Sturm-certified
-    bracket of width <= tol (default ctx.default_tol), and every sweep
-    narrows the brackets of the ranks still to come (`_sturm_eigenvalues`).
+    bracket of width <= ctx.default_tol, and every sweep narrows the
+    brackets of the ranks still to come (`_sturm_eigenvalues`).
     """
     ctx = ctx or PrecisionCtx()
     n = ladder.n_states
     if n - 1 > DENSE_LIMIT:
         raise InvalidParameterError(f"dense spectrum is limited to N <= {DENSE_LIMIT}")
     with mp.workprec(ctx.mantissa_bits):
-        tol = to_mpf(tol if tol is not None else ctx.default_tol)
-        eigs = _sturm_eigenvalues(ladder, range(1, n + 1), tol)
+        eigs = _sturm_eigenvalues(ladder, range(1, n + 1), to_mpf(ctx.default_tol))
         return list(reversed([+e for e in eigs]))
 
 

@@ -11,6 +11,10 @@ eps = 0) is available through four independent routes:
                          precision on one exp-sinh quadrature rule
   * lifetime_asymptotic- large-n form for fixed x = n*tau > 1
 
+The expint route evaluates E_k through one double-precision ladder,
+_scaled_orders; `validate.check_expint` checks that ladder against its
+recursion, its bracket and mpmath's expint.
+
 The module needs mpmath and the standard library only.
 """
 
@@ -25,7 +29,6 @@ from mpmath import mp
 from ._numbers import as_number, is_exact, to_float, to_mpf
 from .chain import RateLadder, _node_count, _sis_inputs, build_eps_sis_ladder
 from .errors import (
-    DivergentIntegralError,
     DomainError,
     InvalidParameterError,
     PrecisionExhaustedError,
@@ -179,36 +182,6 @@ def lifetime_taylor(n: int, tau, delta=1):
 # ---------------------------------------------------------------------------
 # exponential integrals
 # ---------------------------------------------------------------------------
-
-
-def exp_integral(n: int, x, bits: int = 53):
-    """E_n(x) = int_1^inf e^{-x t} t^{-n} dt to `bits` of working precision.
-
-    E_1 is evaluated by mpmath's series / continued-fraction kernel; higher
-    orders follow from the upward recursion E_{k+1} = (e^-x - x E_k)/k.  That
-    step loses log2(x/k) bits while k < x, so the guard is their sum over
-    k < min(n, x) plus 32 bits.
-    """
-    if n < 1:
-        raise InvalidParameterError("order n must be >= 1")
-    x = as_number(x)
-    if x < 0:
-        raise DomainError("exp_integral requires x >= 0")
-    if x == 0:
-        if n == 1:
-            raise DivergentIntegralError("E_1(0) diverges")
-        with mp.workprec(bits):
-            return mp.mpf(1) / (n - 1)
-    x_f = to_float(x)
-    guard = int(sum(math.log2(x_f / k) for k in range(1, min(n, math.ceil(x_f))))) + 32
-    with mp.workprec(bits + guard):
-        xm = to_mpf(x)
-        val = mp.e1(xm)
-        emx = mp.exp(-xm)
-        for k in range(1, n):
-            val = (emx - xm * val) / k
-    with mp.workprec(bits):
-        return +val
 
 
 _EULER_GAMMA = 0.5772156649015329

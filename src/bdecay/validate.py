@@ -168,22 +168,27 @@ def check_newton_vs_dense(level: str):
 
 
 def check_expint(level: str):
+    """The orders g_k = e^x E_k(x) that `lifetime_expint` integrates: the
+    recursion residual |k g_{k+1} + x g_k - 1| <= 1e-12, the bracket
+    1/(x+k) < g_k <= 1/(x+k-1), and mpmath's expint within 1e-14 relative,
+    at 80 + ceil(1.5 x) bits since expint(k, x) loses about 1.5 x bits."""
     top = 40 if level == "quick" else 100
     for x in (0.1, 1.0, 10.0):
-        with mp.workprec(80):
-            prev = sis.exp_integral(1, x, bits=80)
-            emx = mp.exp(-mp.mpf(x))
-            for k in range(2, top + 1):
-                cur = sis.exp_integral(k, x, bits=80)
-                # consecutive-order recursion residual at result precision
-                resid = abs((k - 1) * cur - emx + x * prev)
-                if resid > 1e-12:
-                    return False, f"recursion residual {float(resid):.2e} at k={k} x={x}"
-                scaled = mp.exp(x) * cur
-                if not (1 / (x + k) < scaled <= 1 / (x + k - 1)):
+        with mp.workprec(80 + math.ceil(1.5 * x)):
+            xm = mp.mpf(x)
+            g = [mp.mpf(v) for v in sis._scaled_orders(top, x)]
+            scale = mp.exp(xm)
+            for k, gk in enumerate(g, start=1):
+                if k < top:
+                    resid = abs(k * g[k] + xm * gk - 1)
+                    if resid > 1e-12:
+                        return False, f"recursion residual {float(resid):.2e} at k={k} x={x}"
+                if not 1 / (xm + k) < gk <= 1 / (xm + k - 1):
                     return False, f"bracket broken at k={k} x={x}"
-                prev = cur
-    return True, "recursion residuals <= 1e-12 and bounds hold"
+                ref = mp.expint(k, xm) * scale
+                if abs(gk - ref) > 1e-14 * ref:
+                    return False, f"{float(abs(gk - ref) / ref):.2e} from mpmath at k={k} x={x}"
+    return True, "recursion residuals <= 1e-12, bounds hold, mpmath agrees to 1e-14"
 
 
 def check_zeta_vs_dense(level: str):

@@ -4,6 +4,8 @@
 * `char_coeff0`, `char_coeff1`, `char_coeff2_limit`: the paper's closed
   forms of f_0, f_1 and the eps -> 0 limit of f_2 on the complete graph;
 * `lifetime_double_sum`: the literal double sum for F(tau);
+* `exp_integral`: E_n(x) at arbitrary precision, the referee of the
+  double-precision E_k orders of `lifetime_expint`;
 * `weighted_expint_integral`: the integrals L_k(tau) of the expint form;
 * `dense_matrix` and `transient_decay_fit`: the dense ladder matrix and a
   uniformized fit of the relaxation rate towards the steady state.
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mp
+
 from bdecay import (
     GENERATOR,
     DomainError,
@@ -28,7 +32,7 @@ from bdecay import (
     RateLadder,
     steady_state,
 )
-from bdecay._numbers import as_number, to_float
+from bdecay._numbers import as_number, to_float, to_mpf
 from bdecay.oracle import DENSE_LIMIT
 from bdecay.sis import _exp_sinh, _scaled_orders
 
@@ -142,6 +146,34 @@ def lifetime_double_sum(n: int, tau, delta=1):
             ratio *= n - j + r + 1
         total = total + term / j
     return total / delta
+
+
+def exp_integral(n: int, x, bits: int):
+    """E_n(x) = int_1^inf e^{-x t} t^{-n} dt for x > 0, to `bits` of working
+    precision: the arbitrary-precision referee of `sis._scaled_orders`.
+
+    E_1 is evaluated by mpmath's series / continued-fraction kernel; higher
+    orders follow from the upward recursion E_{k+1} = (e^-x - x E_k)/k.  That
+    step loses log2(x/k) bits while k < x, so the guard is their sum over
+    k < min(n, x) plus 32 bits.  mpmath's expint(n, x) is no substitute: for
+    n > 1 it loses about 1.5 x bits, so at the x up to 1e4 the tests ask for
+    it needs thousands of guard bits.
+    """
+    if n < 1:
+        raise InvalidParameterError("order n must be >= 1")
+    x = as_number(x)
+    if x <= 0:
+        raise DomainError("exp_integral requires x > 0")
+    x_f = to_float(x)
+    guard = int(sum(math.log2(x_f / k) for k in range(1, min(n, math.ceil(x_f))))) + 32
+    with mp.workprec(bits + guard):
+        xm = to_mpf(x)
+        val = mp.e1(xm)
+        emx = mp.exp(-xm)
+        for k in range(1, n):
+            val = (emx - xm * val) / k
+    with mp.workprec(bits):
+        return +val
 
 
 def weighted_expint_integral(tau, k: int) -> float:

@@ -35,7 +35,6 @@ from bdecay import (
     coefficient_table,
     decay_report,
     exact_zeta,
-    exp_integral,
     gillespie_simulate,
     hitting_time_solve,
     lifetime_asymptotic,
@@ -49,6 +48,7 @@ from bdecay import (
 )
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum
+from bdecay.sis import _scaled_orders
 from bdecay.validate import check_taylor_identities
 from conftest import symmetrize
 from paper_formulas import rho_eval, weighted_expint_integral
@@ -343,14 +343,11 @@ def test_10_special_function_bounds():
     worst_resid = 0.0
     for x in (0.1, 1.0, 10.0, 100.0):
         with mp.workprec(80):
-            emx = mp.exp(-mp.mpf(x))
-            prev = exp_integral(1, x, bits=80)
+            # g[k - 1] = e^x E_k(x), the orders lifetime_expint integrates
+            g = [mp.mpf(v) for v in _scaled_orders(200, x)]
             for k in range(2, 201):
-                cur = exp_integral(k, x, bits=80)
-                worst_resid = max(worst_resid, float(abs((k - 1) * cur - emx + x * prev)))
-                scaled = mp.exp(x) * cur
-                assert 1 / (x + k) < scaled <= 1 / (x + k - 1), f"bracket broken k={k} x={x}"
-                prev = cur
+                worst_resid = max(worst_resid, float(abs((k - 1) * g[k - 1] + x * g[k - 2] - 1)))
+                assert 1 / (x + k) < g[k - 1] <= 1 / (x + k - 1), f"bracket broken k={k} x={x}"
     for tau in (0.1, 0.3, 0.5):
         l1 = weighted_expint_integral(tau, 1)
         lo = tau * (0.5772156649015329 - math.log(tau))

@@ -14,7 +14,6 @@ from bdecay import (
     STOCHASTIC,
     DegenerateCoefficientsError,
     InsufficientCoefficientsError,
-    PrecisionCtx,
     RateLadder,
     ReducibleChainError,
     build_eps_sis_ladder,
@@ -24,7 +23,7 @@ from bdecay import (
     restrict_transient,
 )
 from bdecay.charpoly import c1_explicit, c2_explicit, diag_band_coeffs
-from bdecay.oracle import dense_spectrum
+from bdecay.oracle import _sturm_eigenvalues, dense_spectrum
 from conftest import positive_rates, rational_ladders, symmetrize
 from paper_formulas import rho_eval
 
@@ -385,11 +384,10 @@ class TestOrthogonalStructure:
         bits = 128
         for n in (4, 7, 10):
             ladder = self.rand_ladder(rng, n)
-            ctx = PrecisionCtx(mantissa_bits=bits)
             table = coefficient_table(ladder, kmax=n + 1)
             sym = symmetrize(ladder, mantissa_bits=bits)
-            eigs = dense_spectrum(ladder, ctx, tol=Fraction(1, 2 ** (bits - 10)))
             with mp.workprec(bits):
+                eigs = _sturm_eigenvalues(ladder, range(1, n + 2), mp.mpf(2) ** (10 - bits))
                 up_prod = [mp.mpf(1)]
                 for j in range(n):
                     up_prod.append(up_prod[-1] * mp.mpf(ladder.up[j].numerator) / ladder.up[j].denominator)

@@ -13,6 +13,7 @@ import pytest
 
 import bdecay
 from bdecay.cli import build_parser
+from bdecay.validate import run_suite
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -141,6 +142,44 @@ def test_private_definitions_are_referenced():
     unread = [f"{module}: {name} (line {line})" for module, tree in sorted(trees.items())
               for name, line in _private_definitions(tree) if name not in read]
     assert not unread, f"private definitions nothing references: {unread}"
+
+
+def _raised_names(trees):
+    """Name of the class each `raise` statement of the package raises."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                yield exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+
+
+def test_exported_exceptions_are_raised():
+    # an exported exception that nothing raises, itself or through a subclass,
+    # is a failure mode the package no longer has
+    raised = [getattr(bdecay, name) for name in set(_raised_names(_package_trees()))
+              if name in bdecay.__all__]
+    unraised = [name for name in bdecay.__all__
+                if isinstance(cls := getattr(bdecay, name), type)
+                and issubclass(cls, BaseException)
+                and not any(issubclass(r, cls) for r in raised)]
+    assert not unraised, f"exported exceptions nothing raises: {unraised}"
+
+
+QUICK_CHECK_NAMES = [
+    "small-spectrum-exact", "bound-ordering", "steady-state-balance",
+    "coefficient-cross-checks", "taylor-identities", "lifetime-four-way",
+    "hitting-time-equality", "newton-vs-dense", "expint-recursion-bracket",
+    "zeta-vs-dense",
+]
+
+
+@pytest.mark.parametrize("level, names", [
+    ("quick", QUICK_CHECK_NAMES),
+    ("full", QUICK_CHECK_NAMES + ["zeta-lifetime-product", "gillespie-mean"]),
+])
+def test_validate_keeps_its_check_names(level, names):
+    # the names key the `validate` JSON, so they stay, in their order
+    assert [check["name"] for check in run_suite(level)["checks"]] == names
 
 
 def _is_property(node):
