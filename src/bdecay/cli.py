@@ -52,14 +52,15 @@ def _fmt(value, exact: bool = False) -> str:
     if exact and is_exact(value):
         return str(Fraction(value))
     normal = sys.float_info.min <= abs(value) <= sys.float_info.max
-    if is_exact(value) and value != 0 and not normal:
-        value = to_mpf(value)  # a float would overflow, underflow or lose digits
-    if isinstance(value, mpmath.mpf):
+    # a float would overflow, underflow or lose digits
+    out_of_range = is_exact(value) and value != 0 and not normal
+    if out_of_range or isinstance(value, mpmath.mpf):
         # nstr of a wide mantissa far from 1 converts integers past Python's
         # 4300-digit limit.  128 bits hold every digit it prints, and leave
-        # a value at the default precision as it is.
+        # a value at the default precision as it is; an exact value is
+        # rounded to them once.
         with mpmath.mp.workprec(128):
-            return mpmath.nstr(+value, 17, strip_zeros=True)
+            return mpmath.nstr(to_mpf(value), 17, strip_zeros=True)
     return f"{to_float(value):.17g}"
 
 

@@ -55,9 +55,10 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
-from ._numbers import to_mpf
+from ._numbers import to_mpf, to_raw
 from .chain import RateLadder
 from .charpoly import CharCoeffs, char_coeffs
 from .errors import (
@@ -256,7 +257,7 @@ def _next_shift(shift, lo, hi):
 
 def _float_start(down, up):
     """(shift, v) to start the mpf iteration from, found by the same
-    iteration on float copies of the rates; None when there is no start.
+    iteration on float copies of the raw rates; None when there is no start.
 
     v is normalised to max 1 at each step.  The loop ends when the bracket
     is narrower than _FLOAT_WIDTH relative to lambda_1, after _FLOAT_STEPS
@@ -267,8 +268,8 @@ def _float_start(down, up):
     component is not finite and positive: zeta or the Perron vector then
     lies outside double range.
     """
-    fdown, fup = [float(r) for r in down], [float(r) for r in up]
-    if not all(math.isfinite(f) and (f > 0 or r == 0) for f, r in zip(fdown + fup, down + up)):
+    fdown, fup = [[to_float(r, rnd=round_nearest) for r in rates] for rates in (down, up)]
+    if not all(math.isfinite(f) and (f > 0 or r == fzero) for f, r in zip(fdown + fup, down + up)):
         return None
     v = [1.0] * len(fdown)
     trial = 0.0
@@ -352,7 +353,8 @@ def _raw_next_shift(shift, lo, hi, prec):
 
 def _perron_bracket(down, up):
     """Bracket [lo, hi] of the smallest eigenvalue lambda_1 of one
-    irreducible block, of width <= 2^-(prec - 40) lambda_1.
+    irreducible block, of width <= 2^-(prec - 40) lambda_1, from its rates
+    as raw mpf values at mp.prec.
 
     Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
     Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]
@@ -369,22 +371,21 @@ def _perron_bracket(down, up):
     ones vector.  A bracket that stops narrowing raises
     PrecisionExhaustedError.
 
-    The mpf iteration runs on the raw values of the `_raw_*` functions at
-    mp.prec; the rates and the float start are converted once.
+    The rates are raw mpf values at mp.prec, and the mpf iteration runs on
+    the `_raw_*` functions; the float start is converted once.
     """
     prec = mp.prec
-    rdown, rup = [r._mpf_ for r in down], [r._mpf_ for r in up]
     start = _float_start(down, up)
     factors = None
     if start is not None:
         shift, v = from_float(start[0]), [from_float(a) for a in start[1]]
-        factors = _raw_factor(rdown, rup, shift, prec)
+        factors = _raw_factor(down, up, shift, prec)
     if factors is None:
         shift, v = fzero, [fone] * len(down)
-        factors = _raw_factor(rdown, rup, shift, prec)
+        factors = _raw_factor(down, up, shift, prec)
     best, stalls = None, 0
     while True:
-        y = _raw_substitute(factors, rup, v, prec)
+        y = _raw_substitute(factors, up, v, prec)
         lo, hi = _raw_collatz_wielandt(v, y, prec)
         width = mpf_sub(hi, lo, prec, round_nearest)
         base = mpf_add(shift, lo, prec, round_nearest)
@@ -400,7 +401,7 @@ def _perron_bracket(down, up):
                 )
         trial = _raw_next_shift(shift, lo, hi, prec)
         v = y
-        trial_factors = _raw_factor(rdown, rup, trial, prec)
+        trial_factors = _raw_factor(down, up, trial, prec)
         if trial_factors is not None:
             shift, factors = trial, trial_factors
 
@@ -444,12 +445,15 @@ def _decay_index(ladder: RateLadder) -> int:
 def _zeta_bracket(ladder: RateLadder, ctx: PrecisionCtx):
     """Bracket [lo, hi] of -zeta, the smallest eigenvalue of M, as mpf at
     ctx.mantissa_bits: the least over its irreducible blocks
-    (`_irreducible_blocks`).
+    (`_irreducible_blocks`).  The rates go straight to raw values (`to_raw`).
     """
     _decay_index(ladder)  # raises for a ladder with no decay parameter
-    with mp.workprec(ctx.mantissa_bits):
-        down, up = [[to_mpf(r) for r in rates] for rates in _m_matrix_rates(ladder)]
-        brackets = [_perron_bracket(down[a:b], up[a:b]) for a, b in _irreducible_blocks(down, up)]
+    rates = _m_matrix_rates(ladder)
+    blocks = _irreducible_blocks(*rates)
+    prec = ctx.mantissa_bits
+    down, up = [[to_raw(r, prec) for r in rs] for rs in rates]
+    with mp.workprec(prec):
+        brackets = [_perron_bracket(down[a:b], up[a:b]) for a, b in blocks]
         return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 

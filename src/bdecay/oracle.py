@@ -5,9 +5,15 @@ stochastic simulation.
 These are the package's internal referees: each one reaches the quantities of
 interest by a route disjoint from the closed forms it is used to check.
 `sturm_zeta` and `dense_spectrum` share one refinement: each eigenvalue is
-the midpoint of a bracket that Sturm counts certify, closed by Illinois
+the midpoint of a bracket that mpf Sturm counts certify, closed by Illinois
 regula falsi on det(A - xI) once it isolates the eigenvalue and by
-bisection before.
+bisection before.  It runs twice: a float pass brackets each eigenvalue in
+double precision, and mpf sweeps on either side of each float bracket
+seed the mpf pass, which certifies and closes the brackets.  The seeds
+are proposals only; where they isolate nothing, or there are none, the
+mpf pass bisects (Barth, Martin & Wilkinson, Numer. Math. 9, 1967;
+Illinois steps: Dowell & Jarratt, BIT 11, 1971).  The mpf sweeps run on
+mpmath's raw mpf values, as the Perron kernel's loops do.
 Hitting times run on the Perron kernel's elimination, which shares nothing
 with the closed-form lifetime they referee.
 `sturm_zeta` and `dense_spectrum` are not re-exported by the package;
@@ -18,6 +24,7 @@ use it, so importing the package does not load it.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -26,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest
 
 from ._numbers import to_float, to_mpf
 from .chain import GENERATOR, RateLadder, restrict_transient
@@ -44,6 +52,8 @@ if TYPE_CHECKING:
 
 DENSE_LIMIT = 64
 _STALLS = 3
+_FLOAT_BITS = 40
+_FLOAT_TINY = sys.float_info.min
 
 # ---------------------------------------------------------------------------
 # Sturm sequences: the referee of the production Perron kernel
@@ -90,32 +100,58 @@ def _sweep(diag, offsq, x, tiny):
     return x, count, det
 
 
-def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
-    """Eigenvalues of ranks ks (1-indexed, smallest first, ascending), at the
-    working precision, each the midpoint of a bracket [lo, hi] with
-    count(lo) < k <= count(hi) and hi - lo <= tol.
-
-    The first bracket is Gershgorin-sized, doubled until the Sturm counts
-    enclose the spectrum.  Every sweep point (x, count, det) is kept, sorted
-    by x, so each one narrows the bracket of every later rank.  Once a
-    bracket isolates its eigenvalue (counts k - 1 and k), the next point is
-    the Illinois regula falsi point on det(A - xI), at least tol/2 inside
-    either end so that the bracket can close to width tol.  Otherwise, as at
-    a repeated eigenvalue, the step bisects; so does a step whose clamped
-    point rounds onto an end, and the step after _STALLS Illinois steps in a
-    row that each left the bracket wider than half, so the bracket halves at
-    least once in every _STALLS + 1 sweeps.
+def _raw_sweep(diag, offsq, x, tiny, prec):
+    """`_sweep` on raw mpf values (mpmath's `_mpf_` tuples), each operation
+    rounded to nearest at prec: the values the mpf operators give at
+    mp.prec = prec, without an mpf object per operation.
     """
-    diag, offsq = _sturm_arrays(ladder)
-    tiny = mp.mpf(2) ** (-2 * mp.prec)
-    scale = max(abs(d) for d in diag) + 1
-    lo = _sweep(diag, offsq, -4 * scale, tiny)
+    neg_tiny = mpf_neg(tiny)
+    d = mpf_sub(diag[0], x, prec, round_nearest)
+    if d == fzero:
+        d = neg_tiny
+    count = d[0]  # the sign bit: 1 for a negative pivot (a zero is fzero)
+    det = d
+    for a, s in zip(diag[1:], offsq):
+        q = mpf_div(s, d, prec, round_nearest)
+        d = mpf_sub(mpf_sub(a, x, prec, round_nearest), q, prec, round_nearest)
+        if d == fzero:
+            d = neg_tiny
+        count += d[0]
+        det = mpf_mul(det, d, prec, round_nearest)
+    return x, count, det
+
+
+def _enclosure(sweep, scale, one, n):
+    """[lo, hi]: sweep points with counts 0 and n, from -4 scale and one,
+    each doubled until its count encloses the spectrum.
+    """
+    lo = sweep(-4 * scale)
     while lo[1] > 0:
-        lo = _sweep(diag, offsq, 2 * lo[0], tiny)
-    hi = _sweep(diag, offsq, mp.one, tiny)  # generator shifts are <= 0
-    while hi[1] < len(diag):
-        hi = _sweep(diag, offsq, 2 * hi[0], tiny)
-    points = [lo, hi]
+        lo = sweep(2 * lo[0])
+    hi = sweep(one)  # generator shifts are <= 0
+    while hi[1] < n:
+        hi = sweep(2 * hi[0])
+    return [lo, hi]
+
+
+def _refine(sweep, points, ks, tol, strict=True):
+    """Midpoints of brackets [lo, hi] of the eigenvalues of ranks ks
+    (1-indexed, smallest first, ascending), with count(lo) < k <= count(hi)
+    and hi - lo <= tol.
+
+    points holds sweep points (x, count, det) sorted by x, with counts 0 and
+    n at its ends; every new point is kept, so each one narrows the bracket
+    of every later rank.  Once a bracket isolates its eigenvalue (counts
+    k - 1 and k), the next point is the Illinois regula falsi point on
+    det(A - xI), at least tol/2 inside either end so that the bracket can
+    close to width tol.  Otherwise, as at a repeated eigenvalue, the step
+    bisects; so does a step whose clamped point rounds onto an end or is not
+    a number, and the step after _STALLS Illinois steps in a row that each
+    left the bracket wider than half, so the bracket halves at least once in
+    every _STALLS + 1 sweeps.  A bisection point that rounds onto an end
+    raises PrecisionExhaustedError, or with strict=False leaves that rank
+    the bracket it has.
+    """
     half = tol / 2
     eigs = []
     for k in ks:
@@ -123,8 +159,9 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
         lo, hi = points[i - 1], points[i]
         flo, fhi, kept, stalls = lo[2], hi[2], None, 0
         while (width := hi[0] - lo[0]) > tol:
-            # det has the sign (-1)^count, so counts k - 1 and k give a sign change
-            illinois = lo[1] == k - 1 and hi[1] == k and stalls < _STALLS
+            # det has the sign (-1)^count, so counts k - 1 and k give a sign
+            # change; a float det can underflow to 0 on both ends
+            illinois = lo[1] == k - 1 and hi[1] == k and stalls < _STALLS and flo != fhi
             if illinois:
                 x = hi[0] - fhi * width / (fhi - flo)
                 x = min(max(x, lo[0] + half), hi[0] - half)
@@ -133,10 +170,12 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
             if not illinois:
                 x = (lo[0] + hi[0]) / 2
                 if not lo[0] < x < hi[0]:
+                    if not strict:
+                        break
                     raise PrecisionExhaustedError(
                         f"Sturm bracket cannot close to {mpmath.nstr(tol, 5)} at {mp.prec} bits"
                     )
-            point = _sweep(diag, offsq, x, tiny)
+            point = sweep(x)
             points.insert(i, point)
             # Illinois: an end kept a second time in a row has its weight halved
             if point[1] >= k:
@@ -154,6 +193,58 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
         eigs.append((lo[0] + hi[0]) / 2)
         del points[: i - 1]  # later ranks have their brackets at or above lo
     return eigs
+
+
+def _float_seeds(diag, offsq, scale, ks):
+    """Sweep points proposed for the mpf pass: the float midpoint of each
+    rank in ks, plus and minus the float bracket width scale * 2^-_FLOAT_BITS.
+
+    `_refine` runs on float copies of the arrays, with strict=False: it
+    never raises, and a rank whose float bracket cannot close keeps the
+    bracket it has.  There are no seeds when a float copy is not finite.
+    """
+    fdiag, foffsq, fscale = [float(d) for d in diag], [float(s) for s in offsq], float(scale)
+    if not all(map(math.isfinite, fdiag + foffsq + [fscale])):
+        return []
+    width = math.ldexp(fscale, -_FLOAT_BITS)
+
+    def sweep(x):
+        return _sweep(fdiag, foffsq, x, _FLOAT_TINY)
+
+    points = _enclosure(sweep, fscale, 1.0, len(fdiag))
+    mids = _refine(sweep, points, ks, width, strict=False)
+    return sorted({x for m in mids for x in (m - width, m + width) if math.isfinite(x)})
+
+
+def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
+    """Eigenvalues of ranks ks (1-indexed, smallest first, ascending), at the
+    working precision, each the midpoint of a bracket [lo, hi] with
+    count(lo) < k <= count(hi) and hi - lo <= tol, where mpf Sturm counts
+    certify both ends (`_refine`).
+
+    Two passes of one refinement.  The float pass (`_float_seeds`) brackets
+    each rank in double precision; the mpf pass starts from a Gershgorin-
+    sized bracket, doubled until the counts enclose the spectrum, plus an
+    mpf sweep at each float seed.  A seeded bracket that isolates its
+    eigenvalue closes in a few Illinois steps; where none does (a cluster
+    below float resolution, a repeated eigenvalue, a decay parameter below
+    double range) or there are no seeds, the mpf pass bisects as before.
+    The mpf sweeps run on raw values (`_raw_sweep`), converted once.
+    """
+    diag, offsq = _sturm_arrays(ladder)
+    prec = mp.prec
+    rdiag, roffsq = [d._mpf_ for d in diag], [s._mpf_ for s in offsq]
+    tiny = mpf_shift(fone, -2 * prec)
+
+    def sweep(x):
+        _, count, det = _raw_sweep(rdiag, roffsq, x._mpf_, tiny, prec)
+        return x, count, mp.make_mpf(det)
+
+    scale = max(abs(d) for d in diag) + 1
+    points = _enclosure(sweep, scale, mp.one, len(diag))
+    points += [sweep(mp.mpf(x)) for x in _float_seeds(diag, offsq, scale, ks)]
+    points.sort(key=lambda p: p[0])
+    return _refine(sweep, points, ks, tol)
 
 
 def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
@@ -180,11 +271,12 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     `decay._irreducible_blocks`).  The index selects the second-largest
     eigenvalue of an irreducible ladder and the largest of a restricted
     sub-generator, which stays correct when the decay parameter clusters
-    exponentially close to the zero eigenvalue.  Runs in mpf arithmetic at
-    ctx.mantissa_bits and returns the midpoint of a Sturm-certified bracket
-    of width <= ctx.default_tol (`_sturm_eigenvalues`): bisection until the
-    bracket isolates the eigenvalue, then Illinois steps on the determinant,
-    a few dozen O(n) sweeps where bisection took about mantissa_bits/2.
+    exponentially close to the zero eigenvalue.  Returns the midpoint of a
+    bracket of width <= ctx.default_tol that mpf Sturm counts at
+    ctx.mantissa_bits certify (`_sturm_eigenvalues`): a float pass seeds
+    the bracket, then Illinois steps on the determinant close it, or
+    bisection until it isolates the eigenvalue; a few O(n) mpf sweeps where
+    bisection took about mantissa_bits/2.
     That width is absolute, so a decay parameter within the round-off floor
     of 0 raises PrecisionExhaustedError (`_check_resolved`); size the bits
     by `decay.required_precision`.
@@ -204,10 +296,11 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     Root isolation on the degree-(N+1) polynomial of the matrix via Sturm
     sign counts: each eigenvalue is extracted by index, so clustered values
     come out with their multiplicities.  Works for reducible ladders (zero
-    off-diagonal products decouple the blocks).  Runs in mpf arithmetic at
-    ctx.mantissa_bits; each value is the midpoint of a Sturm-certified
-    bracket of width <= ctx.default_tol, and every sweep narrows the
-    brackets of the ranks still to come (`_sturm_eigenvalues`).
+    off-diagonal products decouple the blocks).  Each value is the midpoint
+    of a bracket of width <= ctx.default_tol that mpf Sturm counts at
+    ctx.mantissa_bits certify; a float pass seeds every bracket, and every
+    mpf sweep narrows the brackets of the ranks still to come
+    (`_sturm_eigenvalues`).
     """
     ctx = ctx or PrecisionCtx()
     n = ladder.n_states

@@ -6,10 +6,13 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import mpmath
 import pytest
+from hypothesis import given, settings
 
 from bdecay import (
     build_eps_sis_ladder,
@@ -78,6 +81,16 @@ class TestDecayCommand:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["zeta_lagrange2"] == "-9/16"
+
+
+    def test_lagrange_stays_above_zeta_below_double_range(self, capsys):
+        # zeta ~ -4.89e-562: L1 > zeta exactly, and must print so; a 53-bit
+        # rounding of L1 printed -4.8907968246755041e-562, below zeta's
+        # -4.8907968246755038e-562
+        rc = main(["decay", "--n", "3000", "--x", "3"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert Decimal(out["zeta_lagrange1"]) >= Decimal(out["zeta_exact"])
 
 
 class TestSweepCommand:
@@ -169,7 +182,52 @@ class TestJsonValue:
         # like the exact Lagrange values at n = 1750, x = 3 (~ -1.2e-327),
         # which are -0.0 as doubles
         value = Fraction(-1, 3 * 10**1875)
-        assert _fmt(value) == _json_value(value) == "-3.3333333333333332e-1876"
+        assert _fmt(value) == _json_value(value) == "-3.3333333333333333e-1876"
+
+
+def correctly_rounded(value: Fraction) -> Decimal:
+    """value rounded once to 17 significant digits, half to even."""
+    with localcontext() as ctx:
+        ctx.prec = 17
+        return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+class TestOutOfRangeFormat:
+    """An exact value outside double range prints the 17 digits of its own
+    correct rounding, not of a 53-bit rounding of it.
+    """
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(-1, 3 * 10**1875),
+            Fraction(2, 3) * 10**400,
+            Fraction(-(10**5000) - 1, 7),
+            Fraction(7, 9 * 10**310),  # a subnormal double
+            Fraction(2**1100 + 1, 3),
+        ],
+        ids=["-1/3e-1875", "2/3e400", "-1e5000/7", "7/9e-310", "2^1100/3"],
+    )
+    def test_rational_is_correctly_rounded(self, value):
+        assert Decimal(_fmt(value)) == correctly_rounded(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(10**39, 10**40 - 1),
+        st.one_of(st.integers(-2000, -349), st.integers(270, 2000)),
+        st.booleans(),
+    )
+    def test_random_rational_is_correctly_rounded(self, mantissa, exponent, negative):
+        # 40 random digits lie within 2^-128 of a 17-digit tie with odds of
+        # about 1e-22, so one rounding to 128 bits keeps the correct rounding
+        value = Fraction(-mantissa if negative else mantissa, 3) * Fraction(10) ** exponent
+        assert Decimal(_fmt(value)) == correctly_rounded(value)
+
+    def test_lifetime_beyond_the_double_range(self):
+        # at 53 bits this lifetime printed 7.6394500212162925e+314
+        value = lifetime_direct(520, Fraction(10, 520))
+        assert _fmt(value) == "7.639450021216293e+314"
+        assert Decimal(_fmt(value)) == correctly_rounded(value)
 
 
 class TestLifetimeCommand:

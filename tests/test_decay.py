@@ -276,7 +276,7 @@ class TestFloatSeededKernel:
         # the mpf iteration then runs from shift 0, to the same relative stop
         down, up = decay._m_matrix_rates(ladder)
         with mp.workprec(128):
-            assert decay._float_start([to_mpf(r) for r in down], [to_mpf(r) for r in up]) is None
+            assert decay._float_start(raw(map(to_mpf, down)), raw(map(to_mpf, up))) is None
         assert_near_working_precision(ladder, 128)
 
     @pytest.mark.parametrize(
@@ -307,7 +307,7 @@ def generic_perron_bracket(down, up):
     """`decay._perron_bracket`'s iteration on mpf objects through the generic
     `_factor`, `_substitute`, `_collatz_wielandt` and `_next_shift`.
     """
-    start = decay._float_start(down, up)
+    start = decay._float_start(raw(down), raw(up))
     factors = None
     if start is not None:
         shift, v = mpmath.mpf(start[0]), start[1]
@@ -373,7 +373,8 @@ class TestRawKernel:
     def test_bracket_matches_the_generic_iteration(self, ladder, bits):
         with mp.workprec(bits):
             for down, up in mpf_blocks(ladder):
-                assert raw(decay._perron_bracket(down, up)) == raw(generic_perron_bracket(down, up))
+                bracket = decay._perron_bracket(raw(down), raw(up))
+                assert raw(bracket) == raw(generic_perron_bracket(down, up))
 
     @pytest.mark.parametrize(
         "n,x,eps,bits",
@@ -387,7 +388,8 @@ class TestRawKernel:
             ladder = restrict_transient(ladder)
         with mp.workprec(bits):
             (down, up), = mpf_blocks(ladder)
-            assert raw(decay._perron_bracket(down, up)) == raw(generic_perron_bracket(down, up))
+            bracket = decay._perron_bracket(raw(down), raw(up))
+            assert raw(bracket) == raw(generic_perron_bracket(down, up))
 
 
 class TestRequiredPrecision:

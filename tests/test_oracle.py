@@ -121,23 +121,29 @@ def spectrum_ladders(draw):
     return RateLadder(up=up, down=down)
 
 
+def assert_matches_bisection(ladder, ctx):
+    """dense_spectrum, and sturm_zeta where the ladder has a decay parameter,
+    lie within tol of `bisection_spectrum`.
+    """
+    n = ladder.n_states
+    spec = dense_spectrum(ladder, ctx)
+    with mp.workprec(ctx.mantissa_bits):
+        tol = to_mpf(ctx.default_tol)
+        ref = bisection_spectrum(ladder, range(1, n + 1), tol)
+        assert all(abs(a - b) <= tol for a, b in zip(reversed(spec), ref))
+    if ladder.reducible and not ladder.is_subgenerator:
+        return  # no decay parameter
+    k = n if ladder.is_subgenerator else n - 1
+    zeta = sturm_zeta(ladder, ctx)
+    with mp.workprec(ctx.mantissa_bits):
+        assert abs(zeta - ref[k - 1]) <= tol
+
+
 class TestSturmRefinement:
     @settings(max_examples=60, deadline=None)
     @given(spectrum_ladders())
     def test_matches_plain_bisection(self, ladder):
-        ctx = PrecisionCtx()
-        n = ladder.n_states
-        spec = dense_spectrum(ladder, ctx)
-        with mp.workprec(ctx.mantissa_bits):
-            tol = to_mpf(ctx.default_tol)
-            ref = bisection_spectrum(ladder, range(1, n + 1), tol)
-            assert all(abs(a - b) <= tol for a, b in zip(reversed(spec), ref))
-        if ladder.reducible and not ladder.is_subgenerator:
-            return  # no decay parameter
-        k = n if ladder.is_subgenerator else n - 1
-        zeta = sturm_zeta(ladder, ctx)
-        with mp.workprec(ctx.mantissa_bits):
-            assert abs(zeta - ref[k - 1]) <= tol
+        assert_matches_bisection(ladder, PrecisionCtx())
 
     def test_repeated_eigenvalue_keeps_its_multiplicity(self):
         # three decoupled states at -1: the count jumps by 3, no bracket isolates
@@ -166,21 +172,23 @@ class TestSturmRefinement:
             referee(RateLadder(up=[10**30], down=[10**30]))
 
     def test_sweeps_per_eigenvalue_and_certificates(self, monkeypatch):
-        # N = 30, x = 2, eps > 0: 31 simple eigenvalues; bisection from the
-        # Gershgorin bracket takes about 71 sweeps each
+        # N = 30, x = 2, eps > 0: 31 simple eigenvalues.  Each float seed pair
+        # isolates its eigenvalue, and about two Illinois steps close it: some
+        # 4 mpf sweeps each, where bisection from the Gershgorin bracket took
+        # about 71
         points = []
-        sweep = oracle._sweep
+        sweep = oracle._raw_sweep
 
-        def recorded(diag, offsq, x, tiny):
-            point = sweep(diag, offsq, x, tiny)
-            points.append(point[:2])
+        def recorded(diag, offsq, x, tiny, prec):
+            point = sweep(diag, offsq, x, tiny, prec)
+            points.append((mp.make_mpf(point[0]), point[1]))
             return point
 
-        monkeypatch.setattr(oracle, "_sweep", recorded)
+        monkeypatch.setattr(oracle, "_raw_sweep", recorded)
         ladder = EpsSisParams.from_x(30, 2, 1, Fraction(1, 10**5)).ladder()
         ctx = PrecisionCtx()
         spec = dense_spectrum(ladder, ctx)
-        assert len(points) <= 16 * len(spec)
+        assert len(points) <= 5 * len(spec)
         with mp.workprec(ctx.mantissa_bits):
             tol = to_mpf(ctx.default_tol)
             for k, e in enumerate(reversed(spec), start=1):
@@ -190,6 +198,115 @@ class TestSturmRefinement:
                 assert lo[1] < k <= hi[1]
                 assert hi[0] - lo[0] <= tol
                 assert e == (lo[0] + hi[0]) / 2
+
+
+UNCLOSABLE_128 = r"^Sturm bracket cannot close to 5\.421e-20 at 128 bits$"
+
+
+class TestFloatSeedsAreProposals:
+    """The float pass only proposes mpf sweep points.  Whatever it proposes,
+    or where it proposes none, every eigenvalue lies within tol of plain
+    bisection, and an unclosable bracket raises as it did without seeds.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spectrum_ladders(),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -1.0, -2.0, 1.0]), st.floats(-50, 50)),
+            max_size=12,
+        ),
+    )
+    def test_garbage_seeds(self, ladder, seeds):
+        # seeds at exact eigenvalues make a pivot hit 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_float_seeds", lambda *args: seeds)
+            assert_matches_bisection(ladder, PrecisionCtx())
+
+    @pytest.mark.parametrize(
+        "seeds", [[], [-2e30, 0.0], [-2e30 + k * 2.0**70 for k in range(-3, 4)]],
+        ids=["none", "at_eigenvalues", "around_-2e30"],
+    )
+    def test_garbage_seeds_keep_the_unclosable_message(self, monkeypatch, seeds):
+        monkeypatch.setattr(oracle, "_float_seeds", lambda *args: seeds)
+        with pytest.raises(PrecisionExhaustedError, match=UNCLOSABLE_128):
+            dense_spectrum(RateLadder(up=[10**30], down=[10**30]))
+
+    @pytest.mark.parametrize("bits", [128, 730])
+    def test_clusters_below_float_resolution(self, bits):
+        # blocks {0, 1} and {2, 3}: eigenvalues 0 and about -2^-60, -2 and
+        # about -2 - 2^-60; as doubles each pair is one value
+        ladder = RateLadder(up=[1, 0, 1], down=[1, Fraction(1, 2**59), 1])
+        ctx = PrecisionCtx(mantissa_bits=bits)
+        assert_matches_bisection(ladder, ctx)
+        spec = dense_spectrum(ladder, ctx)
+        with mp.workprec(bits):
+            # each pair comes out as two values, about 2^-60 apart
+            gap = mp.mpf(2) ** -61
+            assert spec[0] - spec[1] >= gap and spec[2] - spec[3] >= gap
+
+    def test_rates_beyond_double_range_give_no_seeds(self):
+        # eigenvalues 0 and -2e400: the float copies are not finite
+        ladder = RateLadder(up=[10**400], down=[10**400])
+        with mp.workprec(128):
+            diag, offsq = oracle._sturm_arrays(ladder)
+            assert oracle._float_seeds(diag, offsq, max(abs(d) for d in diag) + 1, [1, 2]) == []
+        with pytest.raises(PrecisionExhaustedError, match=UNCLOSABLE_128):
+            dense_spectrum(ladder)
+        # one ulp of 2e400 at 2800 bits is 2^-1469, below tol = 2^-1400
+        assert_matches_bisection(ladder, PrecisionCtx(mantissa_bits=2800))
+
+    def test_decay_parameter_below_double_range(self):
+        # a restricted ladder with zeta ~ -5e-401
+        ladder = RateLadder(up=[1], down=[1], loss0=Fraction(1, 10**400))
+        with pytest.raises(
+            PrecisionExhaustedError,
+            match=r"^\|zeta\| <= resolution floor 5\.421e-20 at 128 bits; raise the precision$",
+        ):
+            sturm_zeta(ladder)
+        assert_matches_bisection(ladder, PrecisionCtx(mantissa_bits=2800))
+
+
+class TestRawSweep:
+    """`_raw_sweep` gives, bit for bit, what the generic `_sweep` gives on mpf
+    objects at the same precision.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([64, 128, 730]), st.data())
+    def test_matches_the_generic_sweep(self, bits, data):
+        # small integers and halves make pivots hit 0
+        values = st.one_of(
+            st.sampled_from([Fraction(k, 2) for k in range(-6, 7)]),
+            st.fractions(-50, 50, max_denominator=10**9),
+        )
+        n = data.draw(st.integers(1, 10))
+        with mp.workprec(bits):
+            diag = [to_mpf(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
+            squares = st.lists(values.map(abs), min_size=n - 1, max_size=n - 1)
+            offsq = [to_mpf(v) for v in data.draw(squares)]
+            x = to_mpf(data.draw(values))
+            tiny = mp.mpf(2) ** (-2 * bits)
+            x_, count, det = oracle._sweep(diag, offsq, x, tiny)
+            got = oracle._raw_sweep(
+                [d._mpf_ for d in diag], [s._mpf_ for s in offsq], x._mpf_, tiny._mpf_, bits
+            )
+            assert got == (x_._mpf_, count, det._mpf_)
+
+    @pytest.mark.parametrize("bits", [64, 128, 730])
+    def test_zero_pivot_is_nudged_alike(self, bits):
+        # d_0 = -1, d_1 = (-2 + 1) - 1/(-1) = 0 exactly, nudged to -tiny,
+        # and d_2 = (-2 + 1) - 1/(-tiny) > 0
+        with mp.workprec(bits):
+            diag, offsq, x = [mp.mpf(-2)] * 3, [mp.one] * 2, mp.mpf(-1)
+            tiny = mp.mpf(2) ** (-2 * bits)
+            _, count, det = oracle._sweep(diag, offsq, x, tiny)
+            assert count == 2
+            assert det == tiny * (1 / tiny - 1)
+            got = oracle._raw_sweep(
+                [d._mpf_ for d in diag], [s._mpf_ for s in offsq], x._mpf_, tiny._mpf_, bits
+            )
+            assert got == (x._mpf_, count, det._mpf_)
 
 
 @st.composite
