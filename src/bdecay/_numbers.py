@@ -13,7 +13,7 @@ from numbers import Rational
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_float, from_rational, mpf_pos, round_nearest
+from mpmath.libmp import from_rational, round_nearest
 
 
 def is_exact(x) -> bool:
@@ -42,22 +42,13 @@ def as_number(x):
     raise TypeError(f"unsupported numeric type: {type(x)!r}")
 
 
-def to_raw(x, prec: int):
-    """x as a raw mpf value (mpmath's `_mpf_` tuple) at prec, rounded once, to
-    nearest: `to_mpf(x)._mpf_` at mp.prec = prec, without the mpf object.
-    """
-    if isinstance(x, Rational):
-        return from_rational(x.numerator, x.denominator, prec, round_nearest)
-    if isinstance(x, float):
-        return from_float(x, prec, round_nearest)
-    return mpf_pos(x._mpf_, prec, round_nearest)
-
-
 def to_mpf(x) -> mpmath.mpf:
     """Convert to mpf at the *current* mpmath working precision; a rational is
     rounded once, to nearest.
     """
-    return mp.make_mpf(to_raw(x, mp.prec))
+    if isinstance(x, Rational):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
+    return mp.mpf(x)
 
 
 def to_float(x) -> float:

@@ -16,49 +16,49 @@ exponentially close to 0.  Its independent referee, Sturm-certified
 eigenvalue brackets, lives in `oracle`.
 
 A float prelude walks the shift from 0 up to lambda_1 in double precision;
-the mpf iteration starts from its shift and Perron vector, and only mpf
-ratios form the returned bracket.  When zeta or the Perron vector leaves
-double range the prelude gives no start, and a start that does not
-factorise in mpf restarts from shift 0 and the ones vector.  Either way
+the iteration at working precision starts from its shift and Perron vector,
+and only its own ratios form the returned bracket.  When zeta or the Perron
+vector leaves double range the prelude gives no start, and a start that
+does not factorise restarts from shift 0 and the ones vector.  Either way
 the iteration stops on one rule: the bracket is within 2^-(bits - 40) of
 lambda_1, relative to lambda_1.  The elimination is subtraction-free (Alfa,
 Xue & Ye, Math. Comp. 71, 2002), so this relative width is reachable at a
 fixed working precision, PrecisionCtx's 128 bits by default, whatever the
 size of the ladder or the scale of zeta.
 
-The mpf iteration runs on mpmath's raw mpf values (`_mpf_` tuples) through
-`mpmath.libmp`, every operation rounded to nearest at mp.prec: the values
-the mpf operators give, without an mpf object per operation.  The generic
-`_factor` and `_substitute` run the float prelude and the exact Fraction
-solve of `oracle.hitting_time_solve`, and referee the raw loops in the
-tests.
+The working precision is decimal: the iteration runs in CPython's C
+`decimal` with the fewest digits whose unit roundoff is at most 2^-bits
+(40 digits at 128 bits), every operation rounded to nearest, over an
+exponent range no zeta leaves.  The same generic `_factor`, `_substitute`,
+`_collatz_wielandt` and `_next_shift` run the float prelude, the decimal
+iteration, and the exact Fraction solve of `oracle.hitting_time_solve`.  The
+bracket ends come back as mpf at `bits`, so `precision_bits` keeps its
+meaning in every output.  The Sturm referee in `oracle` stays on mpmath's
+binary arithmetic, so kernel and referee share no arithmetic library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import (
-    fone,
-    from_float,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-    to_float,
-)
+from mpmath.libmp import from_rational, round_nearest
 
-from ._numbers import to_mpf, to_raw
+from ._numbers import to_mpf
 from .chain import RateLadder
 from .charpoly import CharCoeffs, char_coeffs
 from .errors import (
@@ -73,10 +73,12 @@ from .errors import (
 class PrecisionCtx:
     """Working precision of the ζ kernel and of its Sturm referee.
 
-    Every operation of the ζ kernel rounds to nearest at `mantissa_bits` of
-    mantissa, on mpmath's raw mpf values.  The Perron kernel closes ζ's
-    bracket to 2^-(mantissa_bits - 40) |ζ|; the Sturm referee closes its
-    brackets to the absolute width `default_tol` = 2^-(mantissa_bits/2).
+    The ζ kernel carries the fewest decimal digits whose unit roundoff is at
+    most 2^-mantissa_bits, each operation rounded to nearest, and closes ζ's
+    bracket to 2^-(mantissa_bits - 40) |ζ|; its results are mpf at
+    `mantissa_bits`.  The Sturm referee rounds to nearest at `mantissa_bits`
+    of binary mantissa and closes its brackets to the absolute width
+    `default_tol` = 2^-(mantissa_bits/2).
     """
 
     mantissa_bits: int = 128
@@ -255,21 +257,30 @@ def _next_shift(shift, lo, hi):
     return max(shift, shift + lo - min(hi - lo, lo / 65536))
 
 
-def _float_start(down, up):
-    """(shift, v) to start the mpf iteration from, found by the same
-    iteration on float copies of the raw rates; None when there is no start.
+def _nearest_float(rate):
+    """rate rounded to the nearest float, inf above double range."""
+    try:
+        return float(rate)
+    except OverflowError:
+        return math.inf
 
-    v is normalised to max 1 at each step.  The loop ends when the bracket
-    is narrower than _FLOAT_WIDTH relative to lambda_1, after _FLOAT_STEPS
-    steps, or at a shift that rounding makes fail to factorise.  It returns
-    the next shift, lowered by a further 2^-32 of lambda_1 against rounding
-    in the float rates and solves.  There is no start when a rate is not
-    finite or is 0 only as a float, or a solve, ratio or normalised
-    component is not finite and positive: zeta or the Perron vector then
-    lies outside double range.
+
+def _float_start(down, up):
+    """(shift, v) to start the iteration in the kernel's arithmetic from,
+    found by the same iteration on float copies of the rates; None when
+    there is no start.
+
+    Each rate is rounded once to the nearest float, and v is normalised to
+    max 1 at each step.  The loop ends when the bracket is narrower than
+    _FLOAT_WIDTH relative to lambda_1, after _FLOAT_STEPS steps, or at a
+    shift that rounding makes fail to factorise.  It returns the next shift,
+    lowered by a further 2^-32 of lambda_1 against rounding in the float
+    rates and solves.  There is no start when a rate is not finite or is 0
+    only as a float, or a solve, ratio or normalised component is not finite
+    and positive: zeta or the Perron vector then lies outside double range.
     """
-    fdown, fup = [[to_float(r, rnd=round_nearest) for r in rates] for rates in (down, up)]
-    if not all(math.isfinite(f) and (f > 0 or r == fzero) for f, r in zip(fdown + fup, down + up)):
+    fdown, fup = [[_nearest_float(r) for r in rates] for rates in (down, up)]
+    if not all(math.isfinite(f) and (f > 0 or r == 0) for f, r in zip(fdown + fup, down + up)):
         return None
     v = [1.0] * len(fdown)
     trial = 0.0
@@ -292,69 +303,10 @@ def _float_start(down, up):
     return start
 
 
-def _raw_factor(down, up, s, prec):
-    """`_factor` on raw mpf values (mpmath's `_mpf_` tuples), each operation
-    rounded to nearest at prec: the values the mpf operators give at
-    mp.prec = prec, without an mpf object per operation.
-    """
-    weights, pivots = [], []
-    r = d = fone
-    for l, u in zip(down, up):
-        w = mpf_div(l, d, prec, round_nearest)
-        r = mpf_sub(mpf_mul(w, r, prec, round_nearest), s, prec, round_nearest)
-        d = mpf_add(r, u, prec, round_nearest)
-        if mpf_le(d, fzero):
-            return None
-        weights.append(w)
-        pivots.append(d)
-    return weights, pivots
-
-
-def _raw_substitute(factors, up, v, prec):
-    """`_substitute` on raw mpf values, rounded to nearest at prec."""
-    weights, pivots = factors
-    sums = []
-    g = fzero
-    for w, vi in zip(weights, v):
-        g = mpf_add(vi, mpf_mul(w, g, prec, round_nearest), prec, round_nearest)
-        sums.append(g)
-    y = [None] * len(v)
-    acc = fzero
-    for i in range(len(v) - 1, -1, -1):
-        acc = mpf_add(sums[i], mpf_mul(up[i], acc, prec, round_nearest), prec, round_nearest)
-        acc = mpf_div(acc, pivots[i], prec, round_nearest)
-        y[i] = acc
-    return y
-
-
-def _raw_collatz_wielandt(v, y, prec):
-    """`_collatz_wielandt` on raw mpf values, rounded to nearest at prec."""
-    lo = hi = None
-    for a, b in zip(v, y):
-        ratio = mpf_div(a, b, prec, round_nearest)
-        if lo is None:
-            lo = hi = ratio
-        elif mpf_lt(ratio, lo):
-            lo = ratio
-        elif mpf_gt(ratio, hi):
-            hi = ratio
-    return lo, hi
-
-
-def _raw_next_shift(shift, lo, hi, prec):
-    """`_next_shift` on raw mpf values, rounded to nearest at prec."""
-    width = mpf_sub(hi, lo, prec, round_nearest)
-    step = mpf_shift(lo, -16)
-    if mpf_lt(step, width):
-        width = step
-    trial = mpf_sub(mpf_add(shift, lo, prec, round_nearest), width, prec, round_nearest)
-    return trial if mpf_gt(trial, shift) else shift
-
-
-def _perron_bracket(down, up):
+def _perron_bracket(down, up, start, bits):
     """Bracket [lo, hi] of the smallest eigenvalue lambda_1 of one
-    irreducible block, of width <= 2^-(prec - 40) lambda_1, from its rates
-    as raw mpf values at mp.prec.
+    irreducible block, of width <= 2^-(bits - 40) lambda_1, in the
+    arithmetic of its rates (Decimal in `_zeta_bracket`, mpf in the tests).
 
     Shifted inverse iteration y = (M - sI)^-1 v.  For any positive v the
     Collatz-Wielandt ratios give lambda_1 - s in [min v/y, max v/y]
@@ -364,34 +316,34 @@ def _perron_bracket(down, up):
     factorised.  The block must have killing at an edge
     (`_irreducible_blocks`): then every pivot at s = 0 is positive.
 
-    `_float_start` walks the shift up to lambda_1 in double precision; the
-    mpf iteration starts from its shift and vector, and only the mpf ratios
-    form the bracket.  With no float start, or one that does not factorise
-    in mpf (rounding put it above lambda_1), it starts from shift 0 and the
-    ones vector.  A bracket that stops narrowing raises
-    PrecisionExhaustedError.
+    `start` is `_float_start`'s (shift, v), each float rounded once into the
+    rates' arithmetic; only ratios in that arithmetic form the bracket.
+    With no start, or one that does not factorise (rounding put it above
+    lambda_1), the iteration starts from shift 0 and the ones vector.  A
+    bracket that stops narrowing raises PrecisionExhaustedError.
 
-    The rates are raw mpf values at mp.prec, and the mpf iteration runs on
-    the `_raw_*` functions; the float start is converted once.
+    `bits` sets the stop and the accuracy the arithmetic must carry: each
+    operation rounded to within 2^-bits relative.  `_zeta_bracket` runs it
+    on the fewest decimal digits that do so and returns the ends as mpf at
+    `bits`, so `precision_bits` keeps its meaning in every output.
     """
-    prec = mp.prec
-    start = _float_start(down, up)
+    number = type(down[0])
     factors = None
     if start is not None:
-        shift, v = from_float(start[0]), [from_float(a) for a in start[1]]
-        factors = _raw_factor(down, up, shift, prec)
+        shift, v = +number(start[0]), [+number(a) for a in start[1]]
+        factors = _factor(down, up, shift)
     if factors is None:
-        shift, v = fzero, [fone] * len(down)
-        factors = _raw_factor(down, up, shift, prec)
+        shift, v = number(0), [number(1)] * len(down)
+        factors = _factor(down, up, shift)
+    scale = 2 ** (bits - 40)
     best, stalls = None, 0
     while True:
-        y = _raw_substitute(factors, up, v, prec)
-        lo, hi = _raw_collatz_wielandt(v, y, prec)
-        width = mpf_sub(hi, lo, prec, round_nearest)
-        base = mpf_add(shift, lo, prec, round_nearest)
-        if mpf_le(width, mpf_shift(base, 40 - prec)):
-            return mp.make_mpf(base), mp.make_mpf(mpf_add(shift, hi, prec, round_nearest))
-        if best is None or mpf_lt(width, best):
+        y = _substitute(factors, up, v)
+        lo, hi = _collatz_wielandt(v, y)
+        width, base = hi - lo, shift + lo
+        if width * scale <= base:
+            return base, shift + hi
+        if best is None or width < best:
             best, stalls = width, 0
         else:
             stalls += 1
@@ -399,9 +351,9 @@ def _perron_bracket(down, up):
                 raise PrecisionExhaustedError(
                     "Perron bracket stopped shrinking; raise the precision"
                 )
-        trial = _raw_next_shift(shift, lo, hi, prec)
+        trial = _next_shift(shift, lo, hi)
         v = y
-        trial_factors = _raw_factor(down, up, trial, prec)
+        trial_factors = _factor(down, up, trial)
         if trial_factors is not None:
             shift, factors = trial, trial_factors
 
@@ -442,19 +394,55 @@ def _decay_index(ladder: RateLadder) -> int:
     return k
 
 
+def _decimal_context(bits: int) -> Context:
+    """Decimal arithmetic with the fewest digits whose unit roundoff,
+    10^(1 - prec) / 2, is at most 2^-bits, rounding to nearest, over the
+    widest exponent range and with the default traps, whatever the caller's
+    context.
+    """
+    return Context(
+        prec=1 + math.ceil((bits - 1) * math.log10(2)),
+        rounding=ROUND_HALF_EVEN,
+        Emin=MIN_EMIN,
+        Emax=MAX_EMAX,
+        traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+
+
+def _to_decimal(rate) -> Decimal:
+    """rate as a Decimal rounded once, to nearest, in the current context."""
+    if isinstance(rate, float):
+        return +Decimal(rate)
+    if isinstance(rate, mpmath.mpf):
+        sign, man, exp, bc = rate._mpf_
+        if bc < 0:  # inf and nan: no mantissa
+            return Decimal(float(rate))
+        p, q = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+    else:
+        p, q = rate.numerator, rate.denominator
+    return Decimal(p) / Decimal(q)
+
+
 def _zeta_bracket(ladder: RateLadder, ctx: PrecisionCtx):
     """Bracket [lo, hi] of -zeta, the smallest eigenvalue of M, as mpf at
     ctx.mantissa_bits: the least over its irreducible blocks
-    (`_irreducible_blocks`).  The rates go straight to raw values (`to_raw`).
+    (`_irreducible_blocks`).  Each rate becomes a Decimal once
+    (`_to_decimal`), and the kernel runs in `_decimal_context`.
     """
     _decay_index(ladder)  # raises for a ladder with no decay parameter
     rates = _m_matrix_rates(ladder)
     blocks = _irreducible_blocks(*rates)
-    prec = ctx.mantissa_bits
-    down, up = [[to_raw(r, prec) for r in rs] for rs in rates]
-    with mp.workprec(prec):
-        brackets = [_perron_bracket(down[a:b], up[a:b]) for a, b in blocks]
-        return min(lo for lo, _ in brackets), min(hi for _, hi in brackets)
+    bits = ctx.mantissa_bits
+    with localcontext(_decimal_context(bits)):
+        down, up = [[_to_decimal(r) for r in rs] for rs in rates]
+        brackets = [
+            _perron_bracket(down[a:b], up[a:b], _float_start(rates[0][a:b], rates[1][a:b]), bits)
+            for a, b in blocks
+        ]
+    return tuple(
+        mp.make_mpf(from_rational(*end.as_integer_ratio(), bits, round_nearest))
+        for end in map(min, zip(*brackets))
+    )
 
 
 def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
@@ -463,9 +451,10 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     Irreducible ladder: second-largest eigenvalue (the largest is exactly 0
     for a generator / shift of 1 for a stochastic matrix), through the
     Siegmund dual.  Restricted sub-generator: largest eigenvalue.  Closes
-    the Collatz-Wielandt bracket in mpf arithmetic at ctx.mantissa_bits to
-    a width of 2^-(mantissa_bits - 40) |zeta|, at any size and scale of
-    zeta, and returns its midpoint as an mpf.
+    the Collatz-Wielandt bracket, in decimal arithmetic accurate to
+    2^-mantissa_bits per operation, to a width of 2^-(mantissa_bits - 40)
+    |zeta|, at any size and scale of zeta, and returns its midpoint as an
+    mpf at mantissa_bits.
 
     Raises PrecisionExhaustedError when the bracket stops narrowing short of
     that width, and, naming the states, when M is singular (a closed

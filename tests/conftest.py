@@ -41,18 +41,17 @@ def rational_subgenerators(draw, min_states=1, max_states=8):
 
 @pytest.fixture
 def stall_perron(monkeypatch):
-    """stall_perron(rows) makes every mpf Collatz-Wielandt bracket of a
-    Perron block with that many rows [1, 2], so the kernel's bracket never
-    narrows.
+    """stall_perron(rows) makes every Collatz-Wielandt bracket of a Perron
+    block with that many rows [1, 2], in the type of the iterate, so the
+    kernel's bracket never narrows.
     """
-    ratios = decay._raw_collatz_wielandt
-    one_two = (mp.one._mpf_, mp.mpf(2)._mpf_)
+    ratios = decay._collatz_wielandt
 
     def stall(rows):
         monkeypatch.setattr(
             decay,
-            "_raw_collatz_wielandt",
-            lambda v, y, prec: one_two if len(v) == rows else ratios(v, y, prec),
+            "_collatz_wielandt",
+            lambda v, y: (type(v[0])(1), type(v[0])(2)) if len(v) == rows else ratios(v, y),
         )
 
     return stall

@@ -439,13 +439,19 @@ def test_output_matches_golden_file(name, argv, capsys):
     assert capsys.readouterr().out.encode("utf-8") == (DATA / name).read_bytes()
 
 
-@pytest.mark.parametrize("eps", ["0", "1e-5"])
-def test_sweep_relative_errors_match_reference(eps, capsys):
+@pytest.mark.parametrize(
+    "n_min,n_max,x_values,eps",
+    [("4", "16", "1/2,1,2,3", "0"), ("4", "16", "1/2,1,2,3", "1e-5"),
+     # n = 58 and 59 printed rel_err_newton one unit off in the 17th digit
+     ("55", "60", "3", "0")],
+    ids=["0", "1e-5", "n55-60_x3_eps0"],
+)
+def test_sweep_relative_errors_match_reference(n_min, n_max, x_values, eps, capsys):
     # 17 printed digits of |estimate - zeta| / |zeta| need zeta far below
     # the bracket tolerance: they must equal the ones from zeta at 4x the bits
-    argv = ["sweep", "--n-min", "4", "--n-max", "16", "--x-values", "1/2,1,2,3", "--eps", eps]
+    argv = ["sweep", "--n-min", n_min, "--n-max", n_max, "--x-values", x_values, "--eps", eps]
     assert main(argv) == 0
     rows = list(reference_rows(capsys.readouterr().out, Fraction(eps)))
-    assert len(rows) == 13 * 4
+    assert len(rows) == (int(n_max) - int(n_min) + 1) * len(x_values.split(","))
     for row, ref in rows:
         assert {c: row[c] for c in COLUMNS} == ref, (row["n"], row["x"])

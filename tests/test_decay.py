@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -6,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from bdecay import (
     GENERATOR,
@@ -73,8 +76,6 @@ class TestNewtonBound:
         assert -(2 - math.sqrt(2)) <= float(nb)
 
     def test_bad_radicand_rejected(self):
-        from dataclasses import replace
-
         coeffs = two_node_coeffs()
         broken = replace(coeffs, f=(coeffs.f[0], coeffs.f[1], Fraction(50)))
         with pytest.raises(InconsistentCoefficientsError):
@@ -150,6 +151,16 @@ def assert_matches_sturm(ladder, ctx):
         assert abs(z - ref) <= 10 * to_mpf(ctx.default_tol)
 
 
+def scaled_rates(ladder, f):
+    """The ladder with f applied to each of its rates."""
+    return replace(
+        ladder, up=list(map(f, ladder.up)), down=list(map(f, ladder.down)), loss0=f(ladder.loss0)
+    )
+
+
+kernel_ladders = st.one_of(
+    rational_ladders(min_states=2, max_states=12), rational_subgenerators(max_states=12)
+)
 float_rates = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 threshold_units = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=8)
 
@@ -183,6 +194,23 @@ class TestPerronAgainstSturm:
     def test_float_rates(self, rates):
         up, down = rates
         assert_matches_sturm(RateLadder(up=up, down=down, mode=GENERATOR), PrecisionCtx())
+
+    @settings(max_examples=20, deadline=None)
+    @given(kernel_ladders, st.sampled_from([53, 128, 300]))
+    def test_mpf_rates(self, ladder, rate_bits):
+        # rates with rate_bits of binary mantissa, each rounded once to decimal
+        with mp.workprec(rate_bits):
+            assert_matches_sturm(scaled_rates(ladder, to_mpf), PrecisionCtx())
+
+    @settings(max_examples=10, deadline=None)
+    @given(kernel_ladders, st.sampled_from([400, -400]))
+    def test_fraction_rates_beyond_double_range(self, ladder, exponent):
+        # every float copy is 0 or not finite, so the float prelude gives no
+        # start; one ulp of 1e400 at 2800 bits is below tol = 2^-1400
+        scale = Fraction(10) ** exponent
+        assert_matches_sturm(
+            scaled_rates(ladder, lambda r: r * scale), PrecisionCtx(mantissa_bits=2800)
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -251,14 +279,14 @@ class TestFloatSeededKernel:
         above = -2 * float(unseeded)
         monkeypatch.setattr(decay, "_float_start", lambda down, up: (above, [1.0] * len(down)))
         shifts = []
-        factor = decay._raw_factor
+        factor = decay._factor
 
-        def counted(down, up, s, prec):
-            shifts.append(mp.make_mpf(s))
+        def counted(down, up, s):
+            shifts.append(float(s))
             assert len(shifts) < 100, "the Perron iteration does not end"
-            return factor(down, up, s, prec)
+            return factor(down, up, s)
 
-        monkeypatch.setattr(decay, "_raw_factor", counted)
+        monkeypatch.setattr(decay, "_factor", counted)
         assert exact_zeta(ladder, ctx)._mpf_ == unseeded._mpf_
         assert shifts[:2] == [above, 0]
 
@@ -274,9 +302,7 @@ class TestFloatSeededKernel:
     )
     def test_prelude_declines_outside_double_range(self, ladder):
         # the mpf iteration then runs from shift 0, to the same relative stop
-        down, up = decay._m_matrix_rates(ladder)
-        with mp.workprec(128):
-            assert decay._float_start(raw(map(to_mpf, down)), raw(map(to_mpf, up))) is None
+        assert decay._float_start(*decay._m_matrix_rates(ladder)) is None
         assert_near_working_precision(ladder, 128)
 
     @pytest.mark.parametrize(
@@ -293,88 +319,46 @@ class TestFloatSeededKernel:
         assert_near_working_precision(ladder, 128)
 
 
-def mpf_blocks(ladder):
-    """(down, up) of each irreducible block of M as mpf at the current precision."""
-    down, up = [[to_mpf(r) for r in rates] for rates in decay._m_matrix_rates(ladder)]
-    return [(down[a:b], up[a:b]) for a, b in decay._irreducible_blocks(down, up)]
-
-
-def raw(values):
-    return [x._mpf_ for x in values]
-
-
-def generic_perron_bracket(down, up):
-    """`decay._perron_bracket`'s iteration on mpf objects through the generic
-    `_factor`, `_substitute`, `_collatz_wielandt` and `_next_shift`.
+def block_brackets(ladder, bits):
+    """(Decimal bracket, mpf bracket) of each irreducible block of M: one
+    `_perron_bracket`, from the same float start, on the kernel's Decimal
+    rates in its context and on mpf rates at mp.workprec(bits).
     """
-    start = decay._float_start(raw(down), raw(up))
-    factors = None
-    if start is not None:
-        shift, v = mpmath.mpf(start[0]), start[1]
-        factors = decay._factor(down, up, shift)
-    if factors is None:
-        shift, v = 0 * down[0], [1] * len(down)
-        factors = decay._factor(down, up, shift)
-    for _ in range(200):
-        y = decay._substitute(factors, up, v)
-        lo, hi = decay._collatz_wielandt(v, y)
-        if hi - lo <= mpmath.ldexp(shift + lo, 40 - mp.prec):
-            return shift + lo, shift + hi
-        trial = decay._next_shift(shift, lo, hi)
-        v = y
-        trial_factors = decay._factor(down, up, trial)
-        if trial_factors is not None:
-            shift, factors = trial, trial_factors
-    raise AssertionError("the generic iteration does not end")
+    rates = decay._m_matrix_rates(ladder)
+    for a, b in decay._irreducible_blocks(*rates):
+        down, up = rates[0][a:b], rates[1][a:b]
+        start = decay._float_start(down, up)
+        with localcontext(decay._decimal_context(bits)):
+            ddown, dup = [list(map(decay._to_decimal, rs)) for rs in (down, up)]
+            decimal_bracket = decay._perron_bracket(ddown, dup, start, bits)
+        with mp.workprec(bits):
+            mdown, mup = [list(map(to_mpf, rs)) for rs in (down, up)]
+            mpf_bracket = decay._perron_bracket(mdown, mup, start, bits)
+        yield decimal_bracket, mpf_bracket
 
 
-kernel_ladders = st.one_of(
-    rational_ladders(min_states=2, max_states=12), rational_subgenerators(max_states=12)
-)
-kernel_bits = st.sampled_from([128, 730])
+def assert_brackets_agree(ladder, bits):
+    """Each end of the Decimal bracket is within 2^-(bits - 40), relative,
+    of the same end of the mpf bracket, compared exactly.
+    """
+    for (dlo, dhi), (mlo, mhi) in block_brackets(ladder, bits):
+        assert type(dlo) is type(dhi) is Decimal
+        assert type(mlo) is type(mhi) is mpmath.mpf
+        for d, m in ((dlo, mlo), (dhi, mhi)):
+            m = Fraction(*to_rational(m._mpf_))
+            assert abs(Fraction(d) - m) <= m / 2 ** (bits - 40)
 
 
-class TestRawKernel:
-    """The Perron kernel's loops on raw mpf values give, bit for bit, what the
-    generic elimination gives on mpf objects at the same precision.
+class TestOneLoopTwoArithmetics:
+    """The Perron kernel's one loop runs on Decimal in production and on mpf
+    at the same bits in these tests; both brackets close to 2^-(bits - 40)
+    of lambda_1, so they agree to that width.
     """
 
     @settings(max_examples=40, deadline=None)
-    @given(kernel_ladders, kernel_bits, st.data())
-    def test_steps_match_the_generic_elimination(self, ladder, bits, data):
-        with mp.workprec(bits):
-            for down, up in mpf_blocks(ladder):
-                lam, _ = generic_perron_bracket(down, up)
-                fraction = st.fractions(0, Fraction(999, 1000), max_denominator=1000)
-                below = lam * to_mpf(data.draw(fraction))
-                floats = st.floats(min_value=1e-3, max_value=1.0)
-                v_float = data.draw(st.lists(floats, min_size=len(down), max_size=len(down)))
-                above = 2 * lam
-                assert decay._factor(down, up, above) is None
-                assert decay._raw_factor(raw(down), raw(up), above._mpf_, bits) is None
-                for shift in (0 * lam, below):
-                    factors = decay._factor(down, up, shift)
-                    raw_factors = decay._raw_factor(raw(down), raw(up), shift._mpf_, bits)
-                    assert raw_factors == tuple(map(raw, factors))
-                    for v in ([1] * len(down), v_float):
-                        raw_v = [to_mpf(a)._mpf_ for a in v]
-                        y = decay._substitute(factors, up, v)
-                        raw_y = decay._raw_substitute(raw_factors, raw(up), raw_v, bits)
-                        assert raw_y == raw(y)
-                        lo, hi = decay._collatz_wielandt(v, y)
-                        raw_lo, raw_hi = decay._raw_collatz_wielandt(raw_v, raw_y, bits)
-                        assert (raw_lo, raw_hi) == (lo._mpf_, hi._mpf_)
-                        trial = decay._next_shift(shift, lo, hi)
-                        raw_trial = decay._raw_next_shift(shift._mpf_, raw_lo, raw_hi, bits)
-                        assert raw_trial == trial._mpf_
-
-    @settings(max_examples=40, deadline=None)
-    @given(kernel_ladders, kernel_bits)
-    def test_bracket_matches_the_generic_iteration(self, ladder, bits):
-        with mp.workprec(bits):
-            for down, up in mpf_blocks(ladder):
-                bracket = decay._perron_bracket(raw(down), raw(up))
-                assert raw(bracket) == raw(generic_perron_bracket(down, up))
+    @given(kernel_ladders, st.sampled_from([128, 730]))
+    def test_decimal_bracket_matches_mpf(self, ladder, bits):
+        assert_brackets_agree(ladder, bits)
 
     @pytest.mark.parametrize(
         "n,x,eps,bits",
@@ -382,14 +366,35 @@ class TestRawKernel:
          (100, Fraction(1, 2), 0, 128), (400, 3, 0, 730)],
         ids=["sweep_n60_x3", "sweep_n30_x1/2", "absorbing_n100_x1/2", "absorbing_n400_x3"],
     )
-    def test_bracket_matches_the_generic_iteration_sis(self, n, x, eps, bits):
+    def test_decimal_bracket_matches_mpf_sis(self, n, x, eps, bits):
         ladder = build_eps_sis_ladder(n, Fraction(x, n), 1, eps)
         if eps == 0:
             ladder = restrict_transient(ladder)
-        with mp.workprec(bits):
-            (down, up), = mpf_blocks(ladder)
-            bracket = decay._perron_bracket(raw(down), raw(up))
-            assert raw(bracket) == raw(generic_perron_bracket(down, up))
+        assert_brackets_agree(ladder, bits)
+
+
+class TestDecimalContext:
+    def test_kernel_ignores_the_callers_context(self):
+        ladder = restrict_transient(build_eps_sis_ladder(60, Fraction(3, 60), 1, 0))
+        ctx = PrecisionCtx(mantissa_bits=required_precision(60, 3))
+        want = exact_zeta(ladder, ctx)
+        with localcontext() as caller:
+            caller.prec, caller.rounding = 5, ROUND_FLOOR
+            caller.clear_traps()
+            caller.clear_flags()
+            got = exact_zeta(ladder, ctx)
+            assert getcontext() is caller
+            assert (caller.prec, caller.rounding) == (5, ROUND_FLOOR)
+            assert not any(caller.flags.values())
+            assert not any(caller.traps.values())
+        assert got._mpf_ == want._mpf_
+
+    @pytest.mark.parametrize("bits,digits", [(64, 20), (128, 40), (730, 221), (2800, 844)])
+    def test_fewest_digits_within_the_binary_roundoff(self, bits, digits):
+        # unit roundoff 10^(1 - digits) / 2 is at most 2^-bits; one digit fewer is not
+        ctx = decay._decimal_context(bits)
+        assert (ctx.prec, ctx.rounding) == (digits, ROUND_HALF_EVEN)
+        assert 10 ** (digits - 1) >= 2 ** (bits - 1) > 10 ** (digits - 2)
 
 
 class TestRequiredPrecision:
