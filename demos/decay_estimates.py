@@ -15,9 +15,9 @@ from bdecay import (
     PrecisionCtx,
     char_coeffs,
     decay_report,
-    newton_sums,
     restrict_transient,
 )
+from bdecay.charpoly import newton_sums
 
 params = EpsSisParams.from_tau(n=8, tau=Fraction(1, 4), delta=1, eps=0)
 print(f"epidemic on K_{params.n}: tau = {params.tau}, x = n*tau = {params.x}")

@@ -15,8 +15,8 @@ from bdecay import (
     gillespie_simulate,
     lifetime_direct,
     restrict_transient,
-    survival_log_slope,
 )
+from bdecay.oracle import survival_log_slope
 
 params = EpsSisParams.from_tau(n=8, tau=Fraction(1, 20), delta=1, eps=0)
 print(f"simulating extinction on K_{params.n} at tau = {params.tau} "

@@ -9,10 +9,11 @@ package specializes the machinery to SIS epidemics on the complete graph,
 where the decay parameter governs extinction and the mean extinction time
 has several independent closed forms.
 
-The names below are the production surface.  The cross-checks that
-`validate` runs live in `charpoly` (c1_explicit, c2_explicit,
-diag_band_coeffs), and the spectrum referees in `oracle` (sturm_zeta,
-dense_spectrum); import them from those modules.
+The names below are the production surface, the routes to the decay
+parameter and the mean lifetime.  Import the helpers that check them from
+their modules: `charpoly` (c1_explicit, c2_explicit, diag_band_coeffs,
+coefficient_table, newton_sums, NewtonSums), `sis` (taylor_coeffs) and
+`oracle` (sturm_zeta, dense_spectrum, sturm_tol, survival_log_slope).
 """
 
 from .chain import (
@@ -23,13 +24,7 @@ from .chain import (
     restrict_transient,
     steady_state,
 )
-from .charpoly import (
-    CharCoeffs,
-    NewtonSums,
-    char_coeffs,
-    coefficient_table,
-    newton_sums,
-)
+from .charpoly import CharCoeffs, char_coeffs
 from .decay import (
     DecayReport,
     PrecisionCtx,
@@ -52,12 +47,7 @@ from .errors import (
     ReducibleChainError,
     UnsupportedStructureError,
 )
-from .oracle import (
-    GillespieResult,
-    gillespie_simulate,
-    hitting_time_solve,
-    survival_log_slope,
-)
+from .oracle import GillespieResult, gillespie_simulate, hitting_time_solve
 from .sis import (
     EpsSisParams,
     LifetimeReport,
@@ -68,7 +58,6 @@ from .sis import (
     lifetime_expint,
     lifetime_taylor,
     mean_absorption_time,
-    taylor_coeffs,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +67,7 @@ __all__ = [
     "GENERATOR", "STOCHASTIC", "RateLadder", "build_eps_sis_ladder",
     "restrict_transient", "steady_state",
     # charpoly
-    "CharCoeffs", "NewtonSums", "char_coeffs", "coefficient_table", "newton_sums",
+    "CharCoeffs", "char_coeffs",
     # decay
     "DecayReport", "PrecisionCtx", "decay_report", "exact_zeta", "lagrange_zeta",
     "newton_bound", "required_precision",
@@ -88,9 +77,9 @@ __all__ = [
     "InvalidParameterError", "IrreducibleChainError", "PrecisionExhaustedError",
     "QuadratureFailureError", "ReducibleChainError", "UnsupportedStructureError",
     # oracle
-    "GillespieResult", "gillespie_simulate", "hitting_time_solve", "survival_log_slope",
+    "GillespieResult", "gillespie_simulate", "hitting_time_solve",
     # sis
     "EpsSisParams", "LifetimeReport", "RegimeEstimate", "decay_regime",
     "lifetime_asymptotic", "lifetime_direct", "lifetime_expint", "lifetime_taylor",
-    "mean_absorption_time", "taylor_coeffs",
+    "mean_absorption_time",
 ]

@@ -55,8 +55,12 @@ class RateLadder:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.up) != len(self.down):
             raise ValueError("up and down must have equal length (p_0..p_{N-1} / q_1..q_N)")
-        if any(v < 0 for v in self.up) or any(v < 0 for v in self.down) or self.loss0 < 0:
+        rates = (*self.up, *self.down, self.loss0)
+        if any(v < 0 for v in rates):
             raise InvalidParameterError("rates must be nonnegative")
+        # a Fraction is finite; v < inf is False for nan and inf, True for mpf('1e400')
+        if any(not v < math.inf for v in rates if type(v) is not Fraction):
+            raise InvalidParameterError("rates must be finite")
         if self.mode == STOCHASTIC:
             if self.loss0 != 0:
                 raise InvalidParameterError("stochastic ladders cannot carry a loss term")

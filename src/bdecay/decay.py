@@ -52,7 +52,6 @@ from decimal import (
     Overflow,
     localcontext,
 )
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -71,14 +70,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working precision of the ζ kernel and of its Sturm referee.
+    """Working precision of the ζ kernel.
 
-    The ζ kernel carries the fewest decimal digits whose unit roundoff is at
+    The kernel carries the fewest decimal digits whose unit roundoff is at
     most 2^-mantissa_bits, each operation rounded to nearest, and closes ζ's
     bracket to 2^-(mantissa_bits - 40) |ζ|; its results are mpf at
-    `mantissa_bits`.  The Sturm referee rounds to nearest at `mantissa_bits`
-    of binary mantissa and closes its brackets to the absolute width
-    `default_tol` = 2^-(mantissa_bits/2).
+    `mantissa_bits`.  The Sturm referee's bracket width at this precision is
+    `oracle.sturm_tol`.
     """
 
     mantissa_bits: int = 128
@@ -86,10 +84,6 @@ class PrecisionCtx:
     def __post_init__(self):
         if self.mantissa_bits < 64:
             raise ValueError("mantissa_bits must be at least 64")
-
-    @property
-    def default_tol(self):
-        return Fraction(1, 2 ** (self.mantissa_bits // 2))
 
 
 def required_precision(n: int, x) -> int:

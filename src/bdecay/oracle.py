@@ -13,11 +13,11 @@ seed the mpf pass, which certifies and closes the brackets.  The seeds
 are proposals only; where they isolate nothing, or there are none, the
 mpf pass bisects (Barth, Martin & Wilkinson, Numer. Math. 9, 1967;
 Illinois steps: Dowell & Jarratt, BIT 11, 1971).  The mpf sweeps run on
-mpmath's raw mpf values, as the Perron kernel's loops do.
-Hitting times run on the Perron kernel's elimination, which shares nothing
-with the closed-form lifetime they referee.
-`sturm_zeta` and `dense_spectrum` are not re-exported by the package;
-import them from this module.  numpy is imported inside the functions that
+mpmath's binary mpf values and the Perron kernel on C `decimal`: they
+share no arithmetic library.  Hitting times run on the Perron kernel's
+elimination, which shares nothing with the closed-form lifetime they referee.
+`sturm_zeta`, `dense_spectrum`, `sturm_tol` and `survival_log_slope` are not
+re-exported by the package.  numpy is imported inside the functions that
 use it, so importing the package does not load it.
 """
 
@@ -247,15 +247,19 @@ def _sturm_eigenvalues(ladder: RateLadder, ks, tol):
     return _refine(sweep, points, ks, tol)
 
 
+def sturm_tol(ctx: PrecisionCtx):
+    """The Sturm brackets' absolute width at ctx: the mpf 2^-(mantissa_bits // 2)."""
+    return mpmath.ldexp(mp.one, -(ctx.mantissa_bits // 2))
+
+
 def _check_resolved(zeta, ladder: RateLadder, ctx: PrecisionCtx):
     """Raise PrecisionExhaustedError when |zeta| <= max(tol, max out-rate
     2^-(mantissa_bits - 24) n), the round-off floor of a Sturm bracket of
-    absolute width ctx.default_tol at the working precision.
+    absolute width sturm_tol(ctx) at the working precision.
     """
     n = ladder.n_states
-    tol = to_mpf(ctx.default_tol)
     scale = to_mpf(max(ladder.out_rate(j) for j in range(n)))
-    floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, tol)
+    floor = max(scale * mp.mpf(2) ** (-(ctx.mantissa_bits - 24)) * n, sturm_tol(ctx))
     if abs(zeta) <= floor:
         raise PrecisionExhaustedError(
             f"|zeta| <= resolution floor {mpmath.nstr(floor, 5)} "
@@ -272,7 +276,7 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     eigenvalue of an irreducible ladder and the largest of a restricted
     sub-generator, which stays correct when the decay parameter clusters
     exponentially close to the zero eigenvalue.  Returns the midpoint of a
-    bracket of width <= ctx.default_tol that mpf Sturm counts at
+    bracket of width <= sturm_tol(ctx) that mpf Sturm counts at
     ctx.mantissa_bits certify (`_sturm_eigenvalues`): a float pass seeds
     the bracket, then Illinois steps on the determinant close it, or
     bisection until it isolates the eigenvalue; a few O(n) mpf sweeps where
@@ -285,7 +289,7 @@ def sturm_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     k = _decay_index(ladder)
     _irreducible_blocks(*_m_matrix_rates(ladder))  # raises for a closed class
     with mp.workprec(ctx.mantissa_bits):
-        (zeta,) = _sturm_eigenvalues(ladder, [k], to_mpf(ctx.default_tol))
+        (zeta,) = _sturm_eigenvalues(ladder, [k], sturm_tol(ctx))
         _check_resolved(zeta, ladder, ctx)
         return +zeta
 
@@ -297,7 +301,7 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     sign counts: each eigenvalue is extracted by index, so clustered values
     come out with their multiplicities.  Works for reducible ladders (zero
     off-diagonal products decouple the blocks).  Each value is the midpoint
-    of a bracket of width <= ctx.default_tol that mpf Sturm counts at
+    of a bracket of width <= sturm_tol(ctx) that mpf Sturm counts at
     ctx.mantissa_bits certify; a float pass seeds every bracket, and every
     mpf sweep narrows the brackets of the ranks still to come
     (`_sturm_eigenvalues`).
@@ -307,7 +311,7 @@ def dense_spectrum(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     if n - 1 > DENSE_LIMIT:
         raise InvalidParameterError(f"dense spectrum is limited to N <= {DENSE_LIMIT}")
     with mp.workprec(ctx.mantissa_bits):
-        eigs = _sturm_eigenvalues(ladder, range(1, n + 1), to_mpf(ctx.default_tol))
+        eigs = _sturm_eigenvalues(ladder, range(1, n + 1), sturm_tol(ctx))
         return list(reversed([+e for e in eigs]))
 
 

@@ -314,8 +314,8 @@ THRESHOLD_BAND = 1e-6
 class RegimeEstimate:
     """Threshold-regime classification with the leading decay-rate estimate.
 
-    order_only marks estimates where only the order in n is claimed (below
-    threshold no constant is available).
+    order_only marks estimates where only the order in n is claimed (at and
+    below threshold no constant is available).
     """
 
     regime: str
@@ -334,8 +334,9 @@ def _regime(x_f: float, band: float) -> str:
 
 def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
     """Classify x against the threshold (|x-1| <= THRESHOLD_BAND counts as
-    'at') and return the leading estimate of -zeta: 1/F above, 5 delta/(4n)
-    at, and the order marker delta/ln(n) below.
+    'at') and return the leading estimate of -zeta: 1/F above, and the order
+    markers delta/sqrt(n) at (Nåsell, Adv. Appl. Probab. 28, 1996; Doering,
+    Sargsyan & Sander, Multiscale Model. Simul. 3, 2005) and delta/ln(n) below.
     """
     n = _node_count(n)
     if n < 2:
@@ -355,8 +356,8 @@ def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
     if regime == REGIME_AT:
         return RegimeEstimate(
             regime=regime,
-            leading_estimate=5 * to_float(delta_n) / (4 * n),
-            order_only=False,
+            leading_estimate=to_float(delta_n) / math.sqrt(n),
+            order_only=True,
         )
     return RegimeEstimate(
         regime=regime,

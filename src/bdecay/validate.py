@@ -200,9 +200,10 @@ def check_zeta_vs_dense(level: str):
         z = decay.exact_zeta(ladder, ctx)
         spec = oracle.dense_spectrum(ladder, ctx)
         with mp.workprec(ctx.mantissa_bits):
-            if abs(z - spec[1]) > 10 * to_mpf(ctx.default_tol):
+            tol = oracle.sturm_tol(ctx)
+            if abs(z - spec[1]) > 10 * tol:
                 return False, f"zeta {to_float(z)} != dense second {float(spec[1])}"
-            if any(e > to_mpf(ctx.default_tol) for e in spec):
+            if any(e > tol for e in spec):
                 return False, "positive eigenvalue in a generator spectrum"
     return True, f"exact_zeta matches the dense spectrum on {trials} ladders"
 
@@ -227,7 +228,11 @@ def check_gillespie_mean(level: str):
     pull = abs(res.mean - want) / res.stderr
     if pull > 4:
         return False, f"simulated mean {res.mean:.4f} is {pull:.1f} stderr from {want:.4f}"
-    return True, f"simulated mean within {pull:.2f} stderr of the exact lifetime"
+    zeta = to_float(decay.exact_zeta(chain.restrict_transient(params.ladder())))
+    off = abs(oracle.survival_log_slope(res.times) - zeta) / abs(zeta)
+    if off > 0.1:
+        return False, f"survival-tail slope {off:.1%} from zeta {zeta:.4f}"
+    return True, f"mean within {pull:.2f} stderr of the lifetime, tail slope {off:.1%} from zeta"
 
 
 QUICK_CHECKS = [

@@ -32,7 +32,6 @@ from bdecay import (
     RateLadder,
     build_eps_sis_ladder,
     char_coeffs,
-    coefficient_table,
     decay_report,
     exact_zeta,
     gillespie_simulate,
@@ -41,13 +40,12 @@ from bdecay import (
     lifetime_direct,
     lifetime_expint,
     lifetime_taylor,
-    newton_sums,
     required_precision,
     restrict_transient,
-    survival_log_slope,
 )
 from bdecay._numbers import to_mpf
-from bdecay.oracle import dense_spectrum
+from bdecay.charpoly import coefficient_table, newton_sums
+from bdecay.oracle import dense_spectrum, survival_log_slope
 from bdecay.sis import _scaled_orders
 from bdecay.validate import check_taylor_identities
 from conftest import symmetrize

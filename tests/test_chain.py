@@ -186,6 +186,23 @@ class TestLadderValidation:
         with pytest.raises(InvalidParameterError):
             RateLadder(up=[-1], down=[1], mode=GENERATOR)
 
+    @pytest.mark.parametrize("where", ["up", "down", "loss0"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), mp.inf, mp.nan],
+                             ids=["float-inf", "float-nan", "mpf-inf", "mpf-nan"])
+    def test_non_finite_rate_rejected(self, where, value):
+        rates = {"up": [1, 1], "down": [1, 1], "loss0": 1}
+        rates[where] = value if where == "loss0" else [1, value]
+        with pytest.raises(InvalidParameterError, match="^rates must be finite$"):
+            RateLadder(**rates)
+
+    @pytest.mark.parametrize("where", ["up", "down", "loss0"])
+    def test_mpf_beyond_double_range_accepted(self, where):
+        big = mp.mpf("1e400")
+        rates = {"up": [1, 1], "down": [1, 1], "loss0": 1}
+        rates[where] = big if where == "loss0" else [1, big]
+        ladder = RateLadder(**rates)
+        assert big in (*ladder.up, *ladder.down, ladder.loss0)
+
     def test_stochastic_overflow_rejected(self):
         # state 1 carries p_1 + q_1 = 3/4 + 1/2 > 1
         with pytest.raises(InvalidParameterError):

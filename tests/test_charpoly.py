@@ -18,11 +18,15 @@ from bdecay import (
     ReducibleChainError,
     build_eps_sis_ladder,
     char_coeffs,
-    coefficient_table,
-    newton_sums,
     restrict_transient,
 )
-from bdecay.charpoly import c1_explicit, c2_explicit, diag_band_coeffs
+from bdecay.charpoly import (
+    c1_explicit,
+    c2_explicit,
+    coefficient_table,
+    diag_band_coeffs,
+    newton_sums,
+)
 from bdecay.oracle import _sturm_eigenvalues, dense_spectrum
 from conftest import positive_rates, rational_ladders, symmetrize
 from paper_formulas import rho_eval

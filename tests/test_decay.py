@@ -30,7 +30,7 @@ from bdecay import (
 )
 from bdecay import decay
 from bdecay._numbers import to_mpf
-from bdecay.oracle import dense_spectrum, sturm_zeta
+from bdecay.oracle import dense_spectrum, sturm_tol, sturm_zeta
 from conftest import rational_ladders, rational_subgenerators
 
 
@@ -137,8 +137,8 @@ class TestExactZeta:
         z = exact_zeta(ladder, ctx)
         spec = dense_spectrum(ladder, ctx)
         with mp.workprec(ctx.mantissa_bits):
-            assert abs(z - spec[1]) <= 10 * to_mpf(ctx.default_tol)
-            assert all(e <= to_mpf(ctx.default_tol) for e in spec)
+            assert abs(z - spec[1]) <= 10 * sturm_tol(ctx)
+            assert all(e <= sturm_tol(ctx) for e in spec)
 
 
 def assert_matches_sturm(ladder, ctx):
@@ -148,7 +148,7 @@ def assert_matches_sturm(ladder, ctx):
     assert isinstance(z, mpmath.mpf)
     assert isinstance(ref, mpmath.mpf)
     with mp.workprec(ctx.mantissa_bits):
-        assert abs(z - ref) <= 10 * to_mpf(ctx.default_tol)
+        assert abs(z - ref) <= 10 * sturm_tol(ctx)
 
 
 def scaled_rates(ladder, f):

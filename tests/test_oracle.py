@@ -21,11 +21,10 @@ from bdecay import (
     hitting_time_solve,
     lifetime_direct,
     restrict_transient,
-    survival_log_slope,
 )
 from bdecay import oracle
 from bdecay._numbers import to_mpf
-from bdecay.oracle import dense_spectrum, sturm_zeta
+from bdecay.oracle import dense_spectrum, sturm_tol, sturm_zeta, survival_log_slope
 from conftest import positive_rates
 from paper_formulas import dense_matrix, transient_decay_fit
 
@@ -128,7 +127,7 @@ def assert_matches_bisection(ladder, ctx):
     n = ladder.n_states
     spec = dense_spectrum(ladder, ctx)
     with mp.workprec(ctx.mantissa_bits):
-        tol = to_mpf(ctx.default_tol)
+        tol = sturm_tol(ctx)
         ref = bisection_spectrum(ladder, range(1, n + 1), tol)
         assert all(abs(a - b) <= tol for a, b in zip(reversed(spec), ref))
     if ladder.reducible and not ladder.is_subgenerator:
@@ -150,7 +149,7 @@ class TestSturmRefinement:
         ladder = RateLadder(up=[0, 0, 0], down=[1, 1, 1])
         spec = dense_spectrum(ladder)
         with mp.workprec(128):
-            tol = to_mpf(PrecisionCtx().default_tol)
+            tol = sturm_tol(PrecisionCtx())
             assert abs(spec[0]) <= tol
             assert all(abs(e + 1) <= tol for e in spec[1:])
 
@@ -190,7 +189,7 @@ class TestSturmRefinement:
         spec = dense_spectrum(ladder, ctx)
         assert len(points) <= 5 * len(spec)
         with mp.workprec(ctx.mantissa_bits):
-            tol = to_mpf(ctx.default_tol)
+            tol = sturm_tol(ctx)
             for k, e in enumerate(reversed(spec), start=1):
                 # the nearest swept points on either side certify e
                 lo = max((p for p in points if p[0] < e), key=lambda p: p[0])

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import pathlib
@@ -63,9 +64,34 @@ def test_cli_runs_on_its_declared_dependencies_alone():
 
 def test_public_names_resolve_and_are_not_modules():
     assert len(bdecay.__all__) == len(set(bdecay.__all__))
+    assert len(bdecay.__all__) <= 38
     for name in bdecay.__all__:
         value = getattr(bdecay, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+@pytest.mark.parametrize("module, name", [
+    ("charpoly", "coefficient_table"),
+    ("charpoly", "newton_sums"),
+    ("charpoly", "NewtonSums"),
+    ("sis", "taylor_coeffs"),
+    ("oracle", "survival_log_slope"),
+])
+def test_checking_helpers_live_in_their_modules(module, name):
+    # helpers that check the production routes are imported from their
+    # modules, not from the package
+    assert name not in bdecay.__all__
+    assert not hasattr(bdecay, name)
+    assert callable(getattr(importlib.import_module(f"bdecay.{module}"), name))
+
+
+def test_gillespie_check_reads_the_survival_slope(monkeypatch):
+    from bdecay import oracle, validate
+
+    monkeypatch.setattr(oracle, "survival_log_slope", lambda times: 0.0)
+    ok, detail = validate.check_gillespie_mean("full")
+    assert not ok
+    assert detail.startswith("survival-tail slope")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

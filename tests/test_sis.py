@@ -15,6 +15,7 @@ from bdecay import (
     QuadratureFailureError,
     char_coeffs,
     decay_regime,
+    exact_zeta,
     hitting_time_solve,
     lifetime_asymptotic,
     lifetime_direct,
@@ -23,8 +24,8 @@ from bdecay import (
     mean_absorption_time,
     restrict_transient,
     steady_state,
-    taylor_coeffs,
 )
+from bdecay.sis import taylor_coeffs
 from bdecay.validate import check_expint
 from paper_formulas import (
     char_coeff0,
@@ -408,8 +409,15 @@ class TestDecayRegime:
     def test_at_threshold_constant(self):
         est = decay_regime(1000, 1, 1)
         assert est.regime == "at"
-        assert est.leading_estimate == pytest.approx(5 / 4000)
-        assert not est.order_only
+        assert est.leading_estimate == pytest.approx(1 / math.sqrt(1000))
+        assert est.order_only
+
+    @pytest.mark.parametrize("n", [50, 100, 400])
+    def test_at_threshold_estimate_tracks_exact_zeta(self, n):
+        delta = Fraction(3, 2)
+        est = decay_regime(n, 1, delta)
+        zeta = exact_zeta(restrict_transient(EpsSisParams.from_x(n, 1, delta, 0).ladder()))
+        assert est.leading_estimate == pytest.approx(-float(zeta), rel=0.15)
 
     def test_above_threshold_uses_lifetime(self):
         est = decay_regime(50, 2, 1)
@@ -425,7 +433,7 @@ class TestDecayRegime:
         assert est.leading_estimate == pytest.approx(1 / math.log(50))
 
     def test_refined_threshold_estimate_converges(self):
-        # the size-refined form of the at-threshold estimate,
+        # the size-refined form of the paper's order-2 series estimate at threshold,
         # (1/n)(1 + (n^2/4 - 9n/4 + 4 H_n - 2)/n^2), approaches 5/(4n): its
         # n-scaled gap to 5/4 shrinks monotonically and is inside 5% by n=400
         gaps = []
