@@ -5,7 +5,9 @@ through Gamma functions, so results are exact for rational inputs.  The mean
 lifetime F(tau) (mean absorption time from the all-infected state when
 eps = 0) is available through four independent routes:
 
-  * lifetime_direct    - O(n) streaming recursion x_{j+1} = x_j (n-j) tau + 1
+  * lifetime_direct    - the recursion x_{j+1} = x_j (n-j) tau + 1: a product
+                         tree of integer step matrices for exact tau, a
+                         streaming loop for float and mpf tau
   * lifetime_taylor    - Taylor coefficients B_j of beta*F(tau)
   * lifetime_expint    - exponential-integral representation, in double
                          precision on one exp-sinh quadrature rule
@@ -86,34 +88,44 @@ class EpsSisParams:
 # ---------------------------------------------------------------------------
 
 
+def _step_product(lo: int, hi: int, n: int, a: int, b: int) -> tuple:
+    """(p, q, r, s, t) of the integer product j b A_j over lo <= j < hi, the
+    later steps on the left; each factor and product has the shape
+    [[p, q, 0], [0, r, 0], [s, t, r]].
+    """
+    if hi - lo == 1:
+        jb = lo * b
+        return (n - lo) * a * lo, jb, jb, b, 0
+    mid = (lo + hi) // 2
+    p2, q2, r2, s2, t2 = _step_product(lo, mid, n, a, b)
+    p1, q1, r1, s1, t1 = _step_product(mid, hi, n, a, b)
+    return p1 * p2, p1 * q2 + q1 * r2, r1 * r2, s1 * p2 + r1 * s2, s1 * q2 + t1 * r2 + r1 * t2
+
+
 def lifetime_direct(n: int, tau, delta=1):
-    """Mean lifetime F(tau) by the streaming recursion (exact for rational tau).
+    """Mean lifetime F(tau) by its recursion (exact for rational tau).
 
     x_1 = 1, x_{j+1} = x_j (n-j) tau + 1;  F = (1/delta) sum_j x_j / j.
     Never forms raw factorials, so it is overflow-free at any n.
 
-    For rational tau = a/b the recursion runs on the integers
-    X_j = b^(j-1) x_j, X_{j+1} = X_j (n-j) a + b^j, and with L = lcm(1..n)
+    For rational tau = a/b the state v_j = (x_j, 1, S_{j-1}), with
+    S_{j-1} = sum_{i<j} x_i / i, steps as v_{j+1} = A_j v_j, where
 
-        F delta = sum_j X_j b^(n-j) (L/j) / (L b^(n-1)),
+        j b A_j = [[(n-j) a j, j b, 0], [0, j b, 0], [b, 0, j b]]
 
-    whose numerator is summed by Horner's rule in b: one Fraction
-    normalisation in all, where a Fraction recursion takes a gcd per step.
-    Float and mpf tau run the recursion as written.
+    is an integer matrix.  The n factors are multiplied in a product tree
+    (binary splitting; Haible & Papanikolaou 1998), so the big products
+    pair operands of equal size, and from v_1 = (1, 1, 0) the root gives
+    F delta = (s + t)/r with r = n! b^n: one Fraction normalisation in all.
+    Float and mpf tau run the recursion as written, in a streaming loop.
     """
     n = _node_count(n)
     tau, delta = as_number(tau), as_number(delta)
     if tau < 0:
         raise InvalidParameterError("tau must be nonnegative")
     if is_exact(tau):
-        a, b = tau.numerator, tau.denominator
-        lcm = math.lcm(*range(1, n + 1))
-        x, b_power, total = 1, 1, 0  # X_j, b^(j-1), Horner sum to j
-        for j in range(1, n + 1):
-            total = total * b + x * (lcm // j)
-            b_power *= b
-            x = x * (n - j) * a + b_power
-        return Fraction(total, lcm * (b_power // b)) / delta
+        _, _, r, s, t = _step_product(1, n + 1, n, tau.numerator, tau.denominator)
+        return Fraction(s + t, r) / delta
     x = tau * 0 + 1
     total = tau * 0
     for j in range(1, n + 1):
@@ -366,9 +378,19 @@ def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
     )
 
 
+# lifetime_taylor's n exact B_j hold O(n^2 log n) bits in all, so above this n
+# mean_absorption_time leaves the Taylor route out
+TAYLOR_MAX_N = 600
+
+
 @dataclass(frozen=True)
 class LifetimeReport:
-    """Mean absorption time by every applicable method, plus discrepancies."""
+    """Mean absorption time by every applicable method, plus discrepancies.
+
+    f_taylor is None for n > TAYLOR_MAX_N, f_expint and f_asymptotic at and
+    below threshold, and f_expint also where its quadrature fails or beta F
+    leaves the double range.
+    """
 
     f_direct: object
     f_taylor: object
@@ -386,15 +408,17 @@ class LifetimeReport:
 def mean_absorption_time(params: EpsSisParams) -> LifetimeReport:
     """E[T] from the all-infected state (eps = 0 required): equals F(tau).
 
-    Methods outside their validity domain are reported as None; the maximal
-    pairwise relative gap is taken over the methods that produced a value.
+    Methods outside their validity domain are reported as None, the Taylor
+    route among them for n > TAYLOR_MAX_N, where its exact coefficients cost
+    more than every other route together; the maximal pairwise relative gap
+    is taken over the methods that produced a value.
     """
     if params.eps != 0:
         raise InvalidParameterError("mean absorption time requires eps = 0")
     n, tau, delta = params.n, params.tau, params.delta
     x = to_float(params.x)
     direct = lifetime_direct(n, tau, delta)
-    taylor = lifetime_taylor(n, tau, delta)
+    taylor = lifetime_taylor(n, tau, delta) if n <= TAYLOR_MAX_N else None
     expint = None
     if x > 1.0:
         try:

@@ -4,6 +4,10 @@
 * `char_coeff0`, `char_coeff1`, `char_coeff2_limit`: the paper's closed
   forms of f_0, f_1 and the eps -> 0 limit of f_2 on the complete graph;
 * `lifetime_double_sum`: the literal double sum for F(tau);
+* `lifetime_streaming`: the recursion for F(tau) streamed over one common
+  denominator, the referee of `lifetime_direct`'s product tree;
+* `threshold_series_estimate`: the size-refined second-order series
+  estimate of -zeta at threshold;
 * `exp_integral`: E_n(x) at arbitrary precision, the referee of the
   double-precision E_k orders of `lifetime_expint`;
 * `weighted_expint_integral`: the integrals L_k(tau) of the expint form;
@@ -146,6 +150,41 @@ def lifetime_double_sum(n: int, tau, delta=1):
             ratio *= n - j + r + 1
         total = total + term / j
     return total / delta
+
+
+def lifetime_streaming(n: int, tau, delta=1):
+    """F(tau) for rational tau = a/b by the recursion streamed on integers.
+
+    X_j = b^(j-1) x_j runs as X_{j+1} = X_j (n-j) a + b^j, and with
+    L = lcm(1..n)
+
+        F delta = sum_j X_j b^(n-j) (L/j) / (L b^(n-1)),
+
+    whose numerator is summed by Horner's rule in b: one Fraction in all.
+    """
+    tau, delta = as_number(tau), as_number(delta)
+    a, b = tau.numerator, tau.denominator
+    lcm = math.lcm(*range(1, n + 1))
+    x, b_power, total = 1, 1, 0  # X_j, b^(j-1), Horner sum to j
+    for j in range(1, n + 1):
+        total = total * b + x * (lcm // j)
+        b_power *= b
+        x = x * (n - j) * a + b_power
+    return Fraction(total, lcm * (b_power // b)) / delta
+
+
+def threshold_series_estimate(n: int) -> Fraction:
+    """The size-refined form of the paper's order-2 series estimate of -zeta
+    at threshold (x = 1, delta = 1),
+
+        (1/n) (1 + (n^2/4 - 9n/4 + 4 H_n - 2)/n^2),
+
+    which approaches 5/(4n) as n grows.
+    """
+    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+    return Fraction(1, n) * (
+        1 + (Fraction(n * n, 4) - Fraction(9 * n, 4) + 4 * harmonic - 2) / n ** 2
+    )
 
 
 def exp_integral(n: int, x, bits: int):

@@ -13,7 +13,7 @@ defect (each failure message carries the measured numbers):
   which is 4.8e-3 there (it passes for x = 2 and 2.5);
 * the threshold constant: the exact decay parameter at x = 1 scales like
   1.10/sqrt(n), not 5/(4n); 5/(4n) is the second-order series estimate, whose
-  own refined form does converge (checked separately in the unit suite).
+  own refined form does converge (checked separately, beside acceptance 04).
 """
 
 import math
@@ -49,7 +49,7 @@ from bdecay.oracle import dense_spectrum, survival_log_slope
 from bdecay.sis import _scaled_orders
 from bdecay.validate import check_taylor_identities
 from conftest import symmetrize
-from paper_formulas import rho_eval, weighted_expint_integral
+from paper_formulas import rho_eval, threshold_series_estimate, weighted_expint_integral
 
 TAU_RULES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))  # x values
 
@@ -183,6 +183,18 @@ def test_04_threshold_constant():
         t0,
         120.0,
     )
+
+
+def test_refined_threshold_estimate_converges():
+    # the paper's formula, not the package: the size-refined order-2 series
+    # estimate at threshold approaches 5/(4n), its n-scaled gap to 5/4
+    # shrinks monotonically and is inside 5% by n=400
+    gaps = []
+    for n in (100, 200, 400):
+        refined = threshold_series_estimate(n)
+        gaps.append(abs(float(refined * n) - 1.25))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] <= 0.05 * 1.25
 
 
 def test_05_lifetime_four_way_agreement():

@@ -264,6 +264,16 @@ class TestLifetimeCommand:
         assert out["f_expint"] is None
         assert abs(Fraction(out["f_asymptotic"]) / exact - 1) < 1e-3
 
+    def test_ten_thousand_nodes(self, capsys):
+        # F ~ 3.4e837 exactly by the product tree; the Taylor route is out of
+        # its domain and the expint route leaves the double range
+        rc = main(["lifetime", "--n", "10000", "--x", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["e_t"] == out["f_direct"] == "3.3716657325570255e+837"
+        assert out["f_taylor"] is None
+        assert out["f_expint"] is None
+
     def test_nonzero_eps_rejected(self):
         proc = run_cli(["lifetime", "--n", "3", "--tau", "1", "--eps", "0.5"])
         assert proc.returncode == 2

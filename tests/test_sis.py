@@ -33,6 +33,7 @@ from paper_formulas import (
     char_coeff2_limit,
     exp_integral,
     lifetime_double_sum,
+    lifetime_streaming,
     weighted_expint_integral,
 )
 
@@ -181,6 +182,25 @@ class TestLifetimeDirect:
     def test_equals_exact_hitting_time(self, n, tau, delta):
         ladder = EpsSisParams.from_tau(n, tau, delta).ladder()
         assert lifetime_direct(n, tau, delta) == hitting_time_solve(ladder)[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(Fraction(0), Fraction(2), max_denominator=10**6),
+        ),
+        st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000),
+    )
+    def test_product_tree_equals_streaming(self, n, tau, delta):
+        assert lifetime_direct(n, tau, delta) == lifetime_streaming(n, tau, delta)
+
+    @pytest.mark.parametrize("delta", [Fraction(1), Fraction(19, 16)])
+    @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(2), Fraction(3)])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 500, 1000, 2000])
+    def test_product_tree_equals_streaming_at_scale(self, n, x, delta):
+        # the tree splits at powers of two, and n = 2000 is the benchmark's size
+        assert lifetime_direct(n, x / n, delta) == lifetime_streaming(n, x / n, delta)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_pure_death_is_harmonic_time(self, n):
@@ -432,21 +452,6 @@ class TestDecayRegime:
         assert est.order_only
         assert est.leading_estimate == pytest.approx(1 / math.log(50))
 
-    def test_refined_threshold_estimate_converges(self):
-        # the size-refined form of the paper's order-2 series estimate at threshold,
-        # (1/n)(1 + (n^2/4 - 9n/4 + 4 H_n - 2)/n^2), approaches 5/(4n): its
-        # n-scaled gap to 5/4 shrinks monotonically and is inside 5% by n=400
-        gaps = []
-        for n in (100, 200, 400):
-            refined = Fraction(1, n) * (
-                1
-                + (Fraction(n * n, 4) - Fraction(9 * n, 4) + 4 * harmonic(n) - 2)
-                / n ** 2
-            )
-            gaps.append(abs(float(refined * n) - 1.25))
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] <= 0.05 * 1.25
-
 
 class TestMeanAbsorptionTime:
     def test_two_nodes(self):
@@ -484,6 +489,26 @@ class TestMeanAbsorptionTime:
         rep = mean_absorption_time(EpsSisParams.from_x(40, x, 1, 0))
         assert len(calls) == 1
         assert rep.regime == regime == decay_regime(40, x).regime
+
+    def test_taylor_route_stops_above_its_domain(self, monkeypatch):
+        from bdecay import sis
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lifetime_taylor(*args, **kwargs)
+
+        monkeypatch.setattr(sis, "lifetime_taylor", counting)
+        assert sis.TAYLOR_MAX_N == 600
+        rep = mean_absorption_time(EpsSisParams.from_x(601, 2, 1, 0))
+        assert calls == []
+        assert rep.f_taylor is None
+        assert rep.f_direct == lifetime_direct(601, Fraction(2, 601))
+        # inside the domain the counter sees the call
+        rep = mean_absorption_time(EpsSisParams.from_x(20, 2, 1, 0))
+        assert len(calls) == 1
+        assert rep.f_taylor == rep.f_direct
 
     def test_failed_quadrature_leaves_expint_out_of_the_gap(self, monkeypatch):
         from bdecay import sis
