@@ -106,7 +106,8 @@ def lifetime_direct(n: int, tau, delta=1):
     """Mean lifetime F(tau) by its recursion (exact for rational tau).
 
     x_1 = 1, x_{j+1} = x_j (n-j) tau + 1;  F = (1/delta) sum_j x_j / j.
-    Never forms raw factorials, so it is overflow-free at any n.
+    Overflow-free at any n: the exact branch works on integers, and the
+    float and mpf loop never forms raw factorials.
 
     For rational tau = a/b the state v_j = (x_j, 1, S_{j-1}), with
     S_{j-1} = sum_{i<j} x_i / i, steps as v_{j+1} = A_j v_j, where
