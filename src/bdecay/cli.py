@@ -354,7 +354,7 @@ def cmd_simulate(args) -> int:
     }
     if args.samples_out:
         with _open_out(args.samples_out) as fh:
-            fh.write(_meta_line("n/a", seed_policy=f"philox(seed={result.seed})"))
+            fh.write(_meta_line("n/a", seed_policy=f'mt19937("{result.seed}:<run>")'))
             fh.write("run,t\n")
             for i, t in enumerate(result.times):
                 fh.write(f"{i},{t:.17g}\n")

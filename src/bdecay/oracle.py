@@ -16,20 +16,21 @@ Illinois steps: Dowell & Jarratt, BIT 11, 1971).  The mpf sweeps run on
 mpmath's binary mpf values and the Perron kernel on C `decimal`: they
 share no arithmetic library.  Hitting times run on the Perron kernel's
 elimination, which shares nothing with the closed-form lifetime they referee.
-`sturm_zeta`, `dense_spectrum`, `sturm_tol` and `survival_log_slope` are not
-re-exported by the package.  numpy is imported inside the functions that
-use it, so importing the package does not load it.
+Simulation runs Gillespie's direct method on one standard-library Mersenne
+Twister stream per (seed, run index) (Matsumoto & Nishimura, ACM TOMACS 8,
+1998).  `sturm_zeta`, `dense_spectrum`, `sturm_tol` and `survival_log_slope`
+are not re-exported by the package.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import mpmath
 from mpmath import mp
@@ -46,9 +47,6 @@ from .decay import (
 )
 from .errors import InvalidParameterError, PrecisionExhaustedError, UnsupportedStructureError
 from .sis import EpsSisParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DENSE_LIMIT = 64
 _STALLS = 3
@@ -347,7 +345,7 @@ class GillespieResult:
     wall-clock budget.
     """
 
-    times: np.ndarray
+    times: tuple[float, ...]
     start_state: int
     seed: int
     mean: float
@@ -365,16 +363,21 @@ def gillespie_simulate(
     seed: int = 0,
     time_budget_s: float = 60.0,
 ) -> GillespieResult:
-    """Event-driven simulation of the epidemic until extinction.
+    """Event-driven simulation of the epidemic until extinction, by
+    Gillespie's direct method (J. Phys. Chem. 81, 1977).
 
-    Requires eps = 0 (guaranteed absorption).  Each run draws from an
-    independent, reproducible Philox stream derived from (seed, run_index);
-    fixed seeds give bit-identical sample streams.  Above the threshold the
-    mean lifetime explodes exponentially in n, so simulation is only sensible
-    below or near threshold: the wall-clock budget aborts with partial
-    results flagged rather than hanging.
+    Requires eps = 0 (guaranteed absorption).  Run r draws from
+    `random.Random(f"{seed}:{r}")`: in state s each event first waits
+    -log(1 - U)/(lambda_s + mu_s), then is a birth if a second uniform falls
+    below lambda_s/(lambda_s + mu_s).  Fixed seeds give bit-identical
+    samples on every Python version (a str seed is hashed the same way by
+    all of them), and the first k runs do not depend on how many are
+    requested.  Above the threshold the mean lifetime explodes
+    exponentially in n, so simulation is only sensible below or near
+    threshold: the wall-clock budget aborts with partial results flagged
+    rather than hanging.
     """
-    import numpy as np
+    import statistics
 
     if params.eps != 0:
         raise InvalidParameterError("simulation requires eps = 0 (absorbing chain)")
@@ -385,42 +388,29 @@ def gillespie_simulate(
     if not 0 < start <= n:
         raise InvalidParameterError("start state must lie in 1..n")
     beta, delta = to_float(params.beta), to_float(params.delta)
-    lam = np.array([beta * j * (n - j) for j in range(n + 1)])
-    mu = np.array([delta * j for j in range(n + 1)])
-    tot = lam + mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_birth = np.where(tot > 0, lam / np.where(tot > 0, tot, 1.0), 0.0)
-        inv_tot = np.where(tot > 0, 1.0 / np.where(tot > 0, tot, 1.0), 0.0)
-    times = np.zeros(runs)
+    inv_tot, p_birth = [0.0] * (n + 1), [0.0] * (n + 1)
+    for j in range(n + 1):
+        lam, mu = beta * j * (n - j), delta * j
+        if lam + mu > 0:
+            inv_tot[j] = 1.0 / (lam + mu)
+            p_birth[j] = lam * inv_tot[j]
+    log = math.log
+    times = []
     deadline = time.monotonic() + time_budget_s
-    completed = 0
-    block = 256
     for r in range(runs):
         if r % 64 == 0 and time.monotonic() > deadline:
             break
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        )
-        t = 0.0
-        s = start
-        waits = rng.standard_exponential(block)
-        coins = rng.random(block)
-        i = 0
+        uniform = random.Random(f"{seed}:{r}").random
+        t, s = 0.0, start
         while s:
-            if i == block:
-                waits = rng.standard_exponential(block)
-                coins = rng.random(block)
-                i = 0
-            t += waits[i] * inv_tot[s]
-            s += 1 if coins[i] < p_birth[s] else -1
-            i += 1
-        times[r] = t
-        completed += 1
-    done = times[:completed]
-    mean = float(done.mean()) if completed else math.nan
-    stderr = float(done.std(ddof=1) / math.sqrt(completed)) if completed > 1 else math.nan
+            t -= log(1.0 - uniform()) * inv_tot[s]
+            s += 1 if uniform() < p_birth[s] else -1
+        times.append(t)
+    completed = len(times)
+    mean = math.fsum(times) / completed if completed else math.nan
+    stderr = statistics.stdev(times) / math.sqrt(completed) if completed > 1 else math.nan
     return GillespieResult(
-        times=done,
+        times=tuple(times),
         start_state=start,
         seed=seed,
         mean=mean,
@@ -429,27 +419,27 @@ def gillespie_simulate(
         runs_completed=completed,
         budget_exhausted=completed < runs,
         metadata={
-            "algorithm": "numpy.random.Philox (Philox 4x64 counter-based)",
-            "numpy_version": np.__version__,
-            "stream_derivation": "SeedSequence(entropy=seed, spawn_key=(run_index,))",
+            "algorithm": "random.Random (MT19937 Mersenne Twister, Python standard library)",
+            "stream_derivation": (
+                'run r: u = random.Random(f"{seed}:{r}").random; per event in state s, '
+                "with w = 1/(lambda_s + mu_s): t -= log(1 - u())*w, "
+                "then s += 1 if u() < lambda_s*w else -1"
+            ),
         },
     )
 
 
-def survival_log_slope(times: np.ndarray) -> float:
+def survival_log_slope(times) -> float:
     """Least-squares slope of log Pr[T > t] over the sample tail between the
     0.5 and 0.99 quantiles: past the median the start-up transient has
     faded, and the last 1%, too few samples for a stable log, is left out.
     """
-    import numpy as np
+    import statistics
 
-    srt = np.sort(np.asarray(times))
+    srt = sorted(times)
     m = len(srt)
     lo, hi = int(0.5 * m), int(0.99 * m)
     if hi - lo < 4:
         raise InvalidParameterError("too few tail points for a slope fit")
-    ts = srt[lo:hi]
-    surv = 1.0 - (np.arange(lo, hi) + 1) / m
-    design = np.vstack([ts, np.ones_like(ts)]).T
-    slope, _ = np.linalg.lstsq(design, np.log(surv), rcond=None)[0]
-    return float(slope)
+    logs = [math.log(1.0 - (i + 1) / m) for i in range(lo, hi)]
+    return statistics.linear_regression(srt[lo:hi], logs).slope

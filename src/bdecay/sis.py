@@ -23,6 +23,7 @@ The module needs mpmath and the standard library only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,6 +127,8 @@ def lifetime_direct(n: int, tau, delta=1):
         raise InvalidParameterError("tau must be nonnegative")
     if is_exact(tau):
         _, _, r, s, t = _step_product(1, n + 1, n, tau.numerator, tau.denominator)
+        if isinstance(delta, mp.mpf):
+            return to_mpf(Fraction(s + t, r)) / delta
         return Fraction(s + t, r) / delta
     x = tau * 0 + 1
     total = tau * 0
@@ -328,11 +331,12 @@ class RegimeEstimate:
     """Threshold-regime classification with the leading decay-rate estimate.
 
     order_only marks estimates where only the order in n is claimed (at and
-    below threshold no constant is available).
+    below threshold no constant is available).  leading_estimate is a float
+    where it is a normal double, and an mpf beyond the double range.
     """
 
     regime: str
-    leading_estimate: float
+    leading_estimate: float | mp.mpf
     order_only: bool
 
 
@@ -361,11 +365,11 @@ def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
     regime = _regime(x_f, THRESHOLD_BAND)
     if regime == REGIME_ABOVE:
         tau = x_n / n if is_exact(x_n) else x_f / n
-        return RegimeEstimate(
-            regime=regime,
-            leading_estimate=1.0 / to_float(lifetime_direct(n, tau, delta_n)),
-            order_only=False,
-        )
+        with mp.workprec(53):  # double precision, but mpmath's unbounded exponent range
+            rate = 1 / to_mpf(lifetime_direct(n, tau, delta_n))
+            if sys.float_info.min <= rate <= sys.float_info.max:
+                rate = float(rate)
+        return RegimeEstimate(regime=regime, leading_estimate=rate, order_only=False)
     if regime == REGIME_AT:
         return RegimeEstimate(
             regime=regime,

@@ -288,6 +288,16 @@ class TestRegimesCommand:
         regimes = [l.split(",")[2] for l in lines[2:]]
         assert regimes == ["below", "at", "above"]
 
+    def test_estimate_below_the_double_range(self, capsys):
+        # 1/F at n=2000, x=3 is about 1.6e-374: printed from an mpf, not
+        # through a float that cannot hold F
+        argv = ["regimes", "--n-values", "400,2000", "--x-values", "3"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[2:] == [
+            "400,3,above,9.7388062707257777e-75,False",
+            "2000,3,above,1.5589033760218997e-374,False",
+        ]
 
     def test_json_rows_match_csv(self, capsys):
         argv = ["regimes", "--n-values", "2,50", "--x-values", "0.5,1,2"]
@@ -330,7 +340,10 @@ class TestSimulateCommand:
         assert main(args) == 0
         second = json.loads(capsys.readouterr().out)
         assert first["mean"] == second["mean"]
-        assert first["rng"]["algorithm"].startswith("numpy.random.Philox")
+        assert first["rng"] == second["rng"]
+        assert "MT19937" in first["rng"]["algorithm"]
+        derivation = first["rng"]["stream_derivation"]
+        assert derivation.startswith('run r: u = random.Random(f"{seed}:{r}").random')
         want = float(lifetime_direct(4, Fraction(1, 10)))
         assert abs(first["mean"] - want) < 6 * first["stderr"]
 
@@ -341,6 +354,7 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert rc == 0
         lines = path.read_text().strip().split("\n")
+        assert 'seed_policy=mt19937("3:<run>")' in lines[0]
         assert lines[1] == "run,t"
         assert len(lines) == 52
 

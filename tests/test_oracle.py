@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -386,9 +387,31 @@ class TestGillespie:
         params = EpsSisParams.from_tau(4, Fraction(1, 8), 1, 0)
         a = gillespie_simulate(params, runs=200, seed=42)
         b = gillespie_simulate(params, runs=200, seed=42)
-        assert np.array_equal(a.times, b.times)
+        assert a.times == b.times
         c = gillespie_simulate(params, runs=200, seed=43)
-        assert not np.array_equal(a.times, c.times)
+        assert a.times != c.times
+
+    def test_times_follow_the_stated_stream(self):
+        # run r: random.Random(f"{seed}:{r}"); per event the holding time is
+        # drawn first, then the birth-or-death coin
+        n, tau, seed = 5, Fraction(1, 6), 31
+        res = gillespie_simulate(EpsSisParams.from_tau(n, tau, 1, 0), runs=3, seed=seed)
+        beta = float(tau)
+        for r in range(3):
+            uniform = random.Random(f"{seed}:{r}").random
+            t, s = 0.0, n
+            while s:
+                lam, mu = beta * s * (n - s), 1.0 * s
+                inv_tot = 1.0 / (lam + mu)
+                t -= math.log(1.0 - uniform()) * inv_tot
+                s += 1 if uniform() < lam * inv_tot else -1
+            assert res.times[r] == t
+
+    def test_runs_are_independent_streams(self):
+        params = EpsSisParams.from_tau(6, Fraction(1, 10), 1, 0)
+        short = gillespie_simulate(params, runs=150, seed=5)
+        long = gillespie_simulate(params, runs=300, seed=5)
+        assert long.times[:150] == short.times
 
     def test_budget_abort_flags_partial_result(self):
         params = EpsSisParams.from_tau(6, Fraction(1, 12), 1, 0)
@@ -412,8 +435,10 @@ class TestGillespie:
     def test_metadata_names_algorithm(self):
         params = EpsSisParams.from_tau(2, Fraction(1, 4), 1, 0)
         res = gillespie_simulate(params, runs=10, seed=0)
-        assert "Philox" in res.metadata["algorithm"]
-        assert res.metadata["numpy_version"] == np.__version__
+        assert "MT19937" in res.metadata["algorithm"]
+        derivation = res.metadata["stream_derivation"]
+        assert derivation.startswith('run r: u = random.Random(f"{seed}:{r}").random')
+        assert "numpy_version" not in res.metadata
         assert len(res.times) == 10
         assert all(t > 0 for t in res.times) and res.start_state == 2
 

@@ -37,20 +37,25 @@ def test_import_leaves_numpy_unloaded():
 
 
 # Fails every import of a module outside the standard library and the
-# declared dependencies, then runs the lifetime routes and the quick suite.
+# declared dependencies, then runs the lifetime routes, the quick suite and a
+# short simulation.
 DECLARED_ONLY = """
 import sys
 
 class Gate:
     def find_spec(self, name, path=None, target=None):
         top = name.partition(".")[0]
-        if top not in sys.stdlib_module_names | {"bdecay", "mpmath", "numpy"}:
+        if top not in sys.stdlib_module_names | {"bdecay", "mpmath"}:
             raise ModuleNotFoundError(f"{name} is not a declared dependency")
 
 sys.meta_path.insert(0, Gate())
 from bdecay.cli import main
 
-print(main(["lifetime", "--n", "12", "--x", "3"]), main(["validate", "--level", "quick"]))
+print(
+    main(["lifetime", "--n", "12", "--x", "3"]),
+    main(["validate", "--level", "quick"]),
+    main(["simulate", "--n", "4", "--tau", "1/10", "--runs", "50"]),
+)
 """
 
 
@@ -59,7 +64,7 @@ def test_cli_runs_on_its_declared_dependencies_alone():
         [sys.executable, "-c", DECLARED_ONLY], capture_output=True, text=True, env=_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 0"
+    assert proc.stdout.splitlines()[-1] == "0 0 0"
 
 
 def test_public_names_resolve_and_are_not_modules():

@@ -25,6 +25,7 @@ from bdecay import (
     restrict_transient,
     steady_state,
 )
+from bdecay._numbers import to_mpf
 from bdecay.sis import taylor_coeffs
 from bdecay.validate import check_expint
 from paper_formulas import (
@@ -215,6 +216,12 @@ class TestLifetimeDirect:
 
     def test_exact_tau_with_float_delta_divides_last(self):
         assert lifetime_direct(200, Fraction(1, 100), 0.5) == 4.32890602352264e16
+
+    def test_exact_tau_with_mpf_delta(self):
+        exact = lifetime_direct(50, Fraction(3, 50))
+        value = lifetime_direct(50, Fraction(3, 50), mp.mpf(1.25))
+        assert isinstance(value, mp.mpf)
+        assert value == to_mpf(exact) / mp.mpf(1.25)
 
 
 class TestTaylorCoeffs:
@@ -445,6 +452,18 @@ class TestDecayRegime:
         assert est.leading_estimate == pytest.approx(
             1 / float(lifetime_direct(50, Fraction(2, 50)))
         )
+
+    def test_above_threshold_beyond_the_double_range(self):
+        # F at n=2000, x=3 overflows a double, so 1/F stays an mpf
+        est = decay_regime(2000, 3, 1)
+        assert isinstance(est.leading_estimate, mp.mpf)
+        with mp.workprec(53):
+            assert est.leading_estimate == 1 / to_mpf(lifetime_direct(2000, Fraction(3, 2000)))
+        assert mp.nstr(est.leading_estimate, 17) == "1.5589033760218997e-374"
+        # a huge delta makes F underflow a double and 1/F overflow one
+        est = decay_regime(50, 2, Fraction(10) ** 400)
+        assert isinstance(est.leading_estimate, mp.mpf)
+        assert mp.nstr(est.leading_estimate, 5) == "8.1812e+395"
 
     def test_below_threshold_order_only(self):
         est = decay_regime(50, Fraction(1, 2), 1)
