@@ -1,8 +1,9 @@
 """Number-representation plumbing: exact rationals plus mpmath big floats.
 
-Rates and coefficients are kept as `fractions.Fraction` whenever they were
-constructed from exact inputs (int / Fraction / decimal strings), so that
-polynomial identities can be checked with equality instead of tolerances.
+Rates from exact inputs (int / Fraction / decimal strings) are kept as
+`fractions.Fraction`; float and mpf rates keep their type, and `to_fraction`
+reads them at their exact binary value, so coefficients are Fractions and
+polynomial identities are checked with equality instead of tolerances.
 Conversion to binary floats happens only at explicitly chosen precision.
 """
 
@@ -21,10 +22,6 @@ def is_exact(x) -> bool:
     return isinstance(x, Rational)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def as_number(x):
     """Canonicalize a rate-like input: ints become Fractions, Fractions and
     floats stay.
@@ -40,6 +37,20 @@ def as_number(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"unsupported numeric type: {type(x)!r}")
+
+
+def to_fraction(x) -> Fraction:
+    """The exact rational value of a finite int, Fraction, float or mpf: a
+    binary number is read at its own value, not at its decimal repr.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, mpmath.mpf):
+        if not mpmath.isfinite(x):
+            raise ValueError(f"{x} has no rational value")
+        man, exp = x.man_exp
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return Fraction(x)
 
 
 def to_mpf(x) -> mpmath.mpf:

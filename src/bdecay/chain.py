@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from ._numbers import all_exact, as_number, is_exact
+from ._numbers import as_number, is_exact, to_fraction
 from .errors import (
     InvalidParameterError,
     IrreducibleChainError,
@@ -73,11 +72,6 @@ class RateLadder:
     @property
     def n_states(self) -> int:
         return len(self.up) + 1
-
-    @cached_property
-    def exact(self) -> bool:
-        """True when every rate is exact; computed once per ladder."""
-        return all_exact(self.up) and all_exact(self.down) and is_exact(self.loss0)
 
     @property
     def reducible(self) -> bool:
@@ -155,23 +149,26 @@ def build_eps_sis_ladder(n, beta, delta, eps) -> RateLadder:
 
 def _product_weights(ladder: RateLadder) -> list:
     """Product-form weights w_j = prod_{m<j} p_m / q_{m+1}, j = 0..N (sum: f_0)."""
-    weights = [Fraction(1) if ladder.exact else 1.0]
+    weights = [1]
     for p, q in zip(ladder.up, ladder.down):
         weights.append(weights[-1] * p / q)
     return weights
 
 
 def _rate_lattice(ladder: RateLadder):
-    """(D, P, Q): the rates of an exact ladder on their common denominator.
+    """(D, P, Q): the rates of a ladder on their common denominator.
 
-    D is the lcm of the denominators of p_0..p_{N-1} and q_1..q_N, and
-    P_j = D p_j, Q_j = D q_j (j = 0..N, with P_N = Q_0 = 0) are ints.  A
-    polynomial in the rates that is homogeneous of degree d is then D^d
-    times the same polynomial in P and Q, with no Fraction arithmetic.
+    Each rate is read at its exact value (`to_fraction`; a float or mpf is
+    the binary rational it holds).  D is the lcm of the denominators of
+    p_0..p_{N-1} and q_1..q_N, and P_j = D p_j, Q_j = D q_j (j = 0..N, with
+    P_N = Q_0 = 0) are ints.  A polynomial in the rates that is homogeneous
+    of degree d is then D^d times the same polynomial in P and Q, with no
+    Fraction arithmetic.
     """
-    D = math.lcm(*(r.denominator for r in ladder.up + ladder.down))
-    P = [r.numerator * (D // r.denominator) for r in ladder.up] + [0]
-    Q = [0] + [r.numerator * (D // r.denominator) for r in ladder.down]
+    up, down = [list(map(to_fraction, rates)) for rates in (ladder.up, ladder.down)]
+    D = math.lcm(*(r.denominator for r in up + down))
+    P = [r.numerator * (D // r.denominator) for r in up] + [0]
+    Q = [0] + [r.numerator * (D // r.denominator) for r in down]
     return D, P, Q
 
 

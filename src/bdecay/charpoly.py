@@ -10,14 +10,14 @@ characteristic coefficients
     f_0 = 1/pi_0,      f_k = sum_{j>=k} c_k(j) / prod_{m<j} q_{m+1}   (k >= 1),
 
 whose zeros are the nonzero eigenvalues; with c_0(j) = p_0 ... p_{j-1} the
-sum gives f_0 at k = 0 too.  Everything here is exact when the ladder rates
-are exact.
+sum gives f_0 at k = 0 too.  Everything here is exact: a float or mpf rate
+is read at the binary rational it holds (`_numbers.to_fraction`).
 
 For a restricted sub-generator (loss0 > 0) the table is built on the embedded
 full ladder (p_0 = 0 re-attached), for which f_0 = 1 automatically: the zeros
 of sum f_k xi^k are then exactly the sub-generator eigenvalues.
 
-Exact coefficients are computed on an integer lattice.  The c_k(j)
+The coefficients are computed on an integer lattice.  The c_k(j)
 recursion has no subtraction and c_k(j) is homogeneous of degree j - k in
 the rates, so on the integer rates P = D p, Q = D q of `chain._rate_lattice`
 it yields the ints c'_k(j) = D^(j-k) c_k(j).  Then
@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import RateLadder, _product_weights, _rate_lattice
+from ._numbers import to_fraction
+from .chain import RateLadder, _rate_lattice
 from .errors import (
     DegenerateCoefficientsError,
     InsufficientCoefficientsError,
@@ -44,10 +45,9 @@ from .errors import (
 
 
 def _pq(ladder: RateLadder):
-    """Rate arrays p_0..p_N, q_0..q_N with boundary conventions."""
-    zero = Fraction(0) if ladder.exact else 0.0
-    p = list(ladder.up) + [zero]
-    q = [zero] + list(ladder.down)
+    """Rate arrays p_0..p_N, q_0..q_N (p_N = q_0 = 0) at their exact values."""
+    p = [*map(to_fraction, ladder.up), Fraction(0)]
+    q = [Fraction(0), *map(to_fraction, ladder.down)]
     return p, q
 
 
@@ -80,8 +80,8 @@ class CoeffTable:
 
 def _coefficient_rows(p, q, kmax: int, one):
     """Yield the rows (c_k(k), ..., c_k(N+1)) for k = 0..kmax, in the number
-    type of the rate arrays p_0..p_N and q_0..q_N (ints, Fractions, floats
-    or mpf), with c_k(k) = one.
+    type of the rate arrays p_0..p_N and q_0..q_N (ints or Fractions), with
+    c_k(k) = one.
 
     Each row comes from the previous one by the pair of first-order
     recursions of `coefficient_table`.
@@ -115,8 +115,7 @@ def coefficient_table(ladder: RateLadder, kmax: int) -> CoeffTable:
     if not 0 <= kmax <= N + 1:
         raise ValueError(f"kmax must lie in [0, N+1] = [0, {N + 1}]")
     p, q = _pq(base)
-    one = Fraction(1) if base.exact else 1.0
-    rows = tuple(tuple(row) for row in _coefficient_rows(p, q, kmax, one))
+    rows = tuple(tuple(row) for row in _coefficient_rows(p, q, kmax, Fraction(1)))
     return CoeffTable(ladder=base, kmax=kmax, _rows=rows)
 
 
@@ -181,9 +180,8 @@ def diag_band_coeffs(ladder: RateLadder, m: int):
     base = ladder.embedded()
     N = base.n_states - 1
     p, q = _pq(base)
-    one = Fraction(1) if base.exact else 1.0
     t_prev2 = None
-    t_prev = [one for _ in range(N + 2)]  # t_0
+    t_prev = [Fraction(1)] * (N + 2)  # t_0
     if m == 0:
         return tuple(t_prev)
     cur = [sum(p[i] + q[i] for i in range(j)) if j >= 1 else 0 for j in range(N + 2)]  # t_1
@@ -218,11 +216,11 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
 
     f_0 is the product form sum_k prod_{m<k} p_m/q_{m+1} (equal to 1/pi_0
     for irreducible ladders and exactly 1 for restricted sub-generators);
-    higher f_k come from the coefficient-table rows.  For an exact ladder the
-    rows run on the integer lattice of `chain._rate_lattice` and each f_k,
-    f_0 included (c_0(j) = p_0 ... p_{j-1}), is one Fraction of an integer
-    Horner sum (module docstring); float and mpf ladders sum the product
-    weights for f_0 and c_k(j) / prod_{m<j} q_{m+1} term by term.
+    higher f_k come from the coefficient-table rows.  The rows run on the
+    integer lattice of `chain._rate_lattice` and each f_k, f_0 included
+    (c_0(j) = p_0 ... p_{j-1}), is one Fraction of an integer Horner sum
+    (module docstring), for every ladder: a float or mpf ladder gets the
+    coefficients of the binary rationals its rates hold.
 
     Raises ReducibleChainError for an unrestricted reducible ladder and for a
     sub-generator with a zero interior down-rate q_j: the states from j up
@@ -245,27 +243,14 @@ def char_coeffs(ladder: RateLadder, kmax: int | None = None) -> CharCoeffs:
         kmax = N
     if not 0 <= kmax <= N:
         raise ValueError(f"kmax must lie in [0, N] = [0, {N}]")
-    if base.exact:
-        scale, p, q = _rate_lattice(base)
-        norm = math.prod(q[1:])
-        f = []
-        for k, row in enumerate(_coefficient_rows(p, q, kmax, 1)):
-            total = 0
-            for q_j, c in zip(q[k:], row):  # j = k..N
-                total = total * q_j + c
-            f.append(Fraction(scale**k * total, norm))
-        return CharCoeffs(f=tuple(f), n=N)
-    p, q = _pq(base)
-    rows = _coefficient_rows(p, q, kmax, 1.0)
-    next(rows)  # c_0 only seeds c_1
-    f = [sum(_product_weights(base))]
-    for k, row in enumerate(rows, start=1):
-        s, dq = 0.0, 1.0
-        for j in range(1, N + 1):
-            dq = dq * q[j]
-            if j >= k:
-                s = s + row[j - k] / dq
-        f.append(s)
+    scale, p, q = _rate_lattice(base)
+    norm = math.prod(q[1:])
+    f = []
+    for k, row in enumerate(_coefficient_rows(p, q, kmax, 1)):
+        total = 0
+        for q_j, c in zip(q[k:], row):  # j = k..N
+            total = total * q_j + c
+        f.append(Fraction(scale**k * total, norm))
     return CharCoeffs(f=tuple(f), n=N)
 
 

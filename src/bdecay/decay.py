@@ -57,7 +57,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import from_rational, round_nearest
 
-from ._numbers import to_mpf
+from ._numbers import to_fraction, to_mpf
 from .chain import RateLadder
 from .charpoly import CharCoeffs, char_coeffs
 from .errors import (
@@ -121,7 +121,7 @@ def lagrange_zeta(coeffs: CharCoeffs, order: int):
         order 2:  -f0/f1 - (f2/f1)(f0/f1)^2
         order 3:  ... + [-2 (f2/f1)^2 + f3/f1] (f0/f1)^3
 
-    Exact (Fraction) when the coefficients are exact.
+    Exact: a Fraction, as `char_coeffs` gives every ladder.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -404,17 +404,9 @@ def _decimal_context(bits: int) -> Context:
 
 
 def _to_decimal(rate) -> Decimal:
-    """rate as a Decimal rounded once, to nearest, in the current context."""
-    if isinstance(rate, float):
-        return +Decimal(rate)
-    if isinstance(rate, mpmath.mpf):
-        sign, man, exp, bc = rate._mpf_
-        if bc < 0:  # inf and nan: no mantissa
-            return Decimal(float(rate))
-        p, q = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
-    else:
-        p, q = rate.numerator, rate.denominator
-    return Decimal(p) / Decimal(q)
+    """rate's exact value (`to_fraction`) rounded once, to nearest, to a Decimal."""
+    r = to_fraction(rate)
+    return Decimal(r.numerator) / Decimal(r.denominator)
 
 
 def _zeta_bracket(ladder: RateLadder, ctx: PrecisionCtx):
@@ -469,8 +461,7 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
     elimination over n rows moves the bracket ends, by 50 ulps at n = 2000.
     """
     ctx = ctx or PrecisionCtx()
-    kmax = min(3, ladder.n_states if ladder.is_subgenerator else ladder.n_states - 1)
-    coeffs = char_coeffs(ladder, kmax=kmax)
+    coeffs = char_coeffs(ladder, kmax=min(3, _decay_index(ladder)))
     lag = {order: lagrange_zeta(coeffs, order) for order in (1, 2, 3)}
     nb = newton_bound(coeffs, mantissa_bits=ctx.mantissa_bits)
     lo, hi = _zeta_bracket(ladder, ctx)

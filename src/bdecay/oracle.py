@@ -30,13 +30,12 @@ import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fone, fzero, mpf_div, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest
 
-from ._numbers import to_float, to_mpf
+from ._numbers import to_float, to_fraction, to_mpf
 from .chain import GENERATOR, RateLadder, restrict_transient
 from .decay import (
     PrecisionCtx,
@@ -61,15 +60,14 @@ _FLOAT_TINY = sys.float_info.min
 def _sturm_arrays(ladder: RateLadder):
     """(diag, offdiag^2) of the shifted working matrix as mpf arrays.
 
-    Sums and products are formed exactly for exact rates, or at working
-    precision for float rates (never rounded to double first), and rounded
-    once at the end, at the working precision the caller has set.
+    Sums and products are formed exactly, on each rate's exact value
+    (`to_fraction`), and rounded once at the end, at the working precision
+    the caller has set.
     """
-    num = Fraction if ladder.exact else to_mpf
-    up = [num(p) for p in ladder.up] + [num(0)]
-    down = [num(0)] + [num(q) for q in ladder.down]
+    up = [*map(to_fraction, ladder.up), 0]
+    down = [0, *map(to_fraction, ladder.down)]
     diag = [-(p + q) for p, q in zip(up, down)]
-    diag[0] -= num(ladder.loss0)
+    diag[0] -= to_fraction(ladder.loss0)
     offsq = [up[j - 1] * down[j] for j in range(1, ladder.n_states)]
     return [to_mpf(d) for d in diag], [to_mpf(s) for s in offsq]
 

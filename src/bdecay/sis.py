@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from ._numbers import as_number, is_exact, to_float, to_mpf
+from ._numbers import as_number, is_exact, to_float, to_fraction, to_mpf
 from .chain import RateLadder, _node_count, _sis_inputs, build_eps_sis_ladder
 from .errors import (
     DomainError,
@@ -364,7 +364,7 @@ def decay_regime(n: int, x, delta=1) -> RegimeEstimate:
         raise InvalidParameterError("x must be positive")
     regime = _regime(x_f, THRESHOLD_BAND)
     if regime == REGIME_ABOVE:
-        tau = x_n / n if is_exact(x_n) else x_f / n
+        tau = to_fraction(x_n) / n
         with mp.workprec(53):  # double precision, but mpmath's unbounded exponent range
             rate = 1 / to_mpf(lifetime_direct(n, tau, delta_n))
             if sys.float_info.min <= rate <= sys.float_info.max:

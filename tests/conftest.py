@@ -4,6 +4,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from bdecay import GENERATOR, RateLadder, ReducibleChainError, decay
 from bdecay._numbers import to_mpf
@@ -39,6 +40,22 @@ def rational_subgenerators(draw, min_states=1, max_states=8):
     return RateLadder(up=up, down=down, mode=GENERATOR, loss0=draw(positive_rates))
 
 
+def binary_copy(ladder):
+    """The exact ladder of the binary rationals that a float or mpf ladder
+    holds, read by Fraction(float) and mpmath's own mpf-to-rational.
+    """
+
+    def value(r):
+        return Fraction(*to_rational(r._mpf_)) if isinstance(r, mp.mpf) else Fraction(r)
+
+    return RateLadder(
+        up=[value(r) for r in ladder.up],
+        down=[value(r) for r in ladder.down],
+        mode=ladder.mode,
+        loss0=value(ladder.loss0),
+    )
+
+
 @pytest.fixture
 def stall_perron(monkeypatch):
     """stall_perron(rows) makes every Collatz-Wielandt bracket of a Perron
@@ -71,11 +88,10 @@ def symmetrize(ladder, mantissa_bits=128):
     """
     if ladder.reducible:
         raise ReducibleChainError("symmetrization requires all interior rates positive")
-    one = Fraction(1) if ladder.exact else 1.0
-    shift = 0 if ladder.mode == GENERATOR else one
+    shift = 0 if ladder.mode == GENERATOR else 1
     diag = tuple(shift - ladder.out_rate(j) for j in range(ladder.n_states))
     off_sq = tuple(p * q for p, q in zip(ladder.up, ladder.down))
-    h_sq = [one]
+    h_sq = [1]
     for p, q in zip(ladder.up, ladder.down):
         h_sq.append(h_sq[-1] * p / q)
     with mp.workprec(mantissa_bits):

@@ -236,10 +236,9 @@ def weighted_expint_integral(tau, k: int) -> float:
 def dense_matrix(ladder: RateLadder):
     """Dense matrix as list of rows (generator Q, or stochastic P)."""
     n = ladder.n_states
-    one = Fraction(1) if ladder.exact else 1.0
     rows = []
     for j in range(n):
-        row = [0 * one for _ in range(n)]
+        row = [0] * n
         if j < n - 1:
             row[j + 1] = ladder.up[j]
         if j >= 1:
@@ -247,7 +246,7 @@ def dense_matrix(ladder: RateLadder):
         if ladder.mode == GENERATOR:
             row[j] = -ladder.out_rate(j)
         else:
-            row[j] = one - ladder.out_rate(j)
+            row[j] = 1 - ladder.out_rate(j)
         rows.append(row)
     return rows
 

@@ -28,7 +28,7 @@ from bdecay.charpoly import (
     newton_sums,
 )
 from bdecay.oracle import _sturm_eigenvalues, dense_spectrum
-from conftest import positive_rates, rational_ladders, symmetrize
+from conftest import binary_copy, positive_rates, rational_ladders, symmetrize
 from paper_formulas import rho_eval
 
 
@@ -60,14 +60,13 @@ def referee_f(ladder, kmax):
     f_0 = sum_j prod_{m<j} p_m/q_{m+1}, f_k = sum_j c_k(j) / prod_{m<j} q_{m+1}.
     """
     base = ladder.embedded()
-    one = Fraction(1) if base.exact else 1.0
-    weights = [one]
+    weights = [1]
     for p, q in zip(base.up, base.down):
         weights.append(weights[-1] * p / q)
     f = [sum(weights)]
     table = coefficient_table(ladder, kmax)
     for k in range(1, kmax + 1):
-        s, dq = one * 0, one
+        s, dq = 0, 1
         for j in range(1, base.n_states):
             dq = dq * base.down[j - 1]
             if j >= k:
@@ -245,10 +244,13 @@ class TestCharCoeffs:
 
     @settings(max_examples=30, deadline=None)
     @given(coefficient_ladders(), st.sampled_from([float, to_binary_mpf]))
-    def test_inexact_ladders_keep_per_term_division(self, ladder, number):
+    def test_inexact_ladders_read_at_their_binary_values(self, ladder, number):
         inexact = convert(ladder, number)
+        exact = binary_copy(inexact)
         for kmax in range(inexact.embedded().n_states):
-            assert char_coeffs(inexact, kmax).f == referee_f(inexact, kmax)
+            f = char_coeffs(inexact, kmax).f
+            assert f == char_coeffs(exact, kmax).f
+            assert all(type(v) is Fraction for v in f)
 
 
 class TestRhoEval:

@@ -31,7 +31,7 @@ from bdecay import (
 from bdecay import decay
 from bdecay._numbers import to_mpf
 from bdecay.oracle import dense_spectrum, sturm_tol, sturm_zeta
-from conftest import rational_ladders, rational_subgenerators
+from conftest import binary_copy, rational_ladders, rational_subgenerators
 
 
 def two_node_coeffs():
@@ -452,6 +452,31 @@ class TestDecayReport:
             below = z - mpmath.ldexp(abs(z), -40)
         monkeypatch.setattr(decay, "newton_bound", lambda coeffs, mantissa_bits: below)
         assert not decay_report(sub).ordering_ok
+
+    # on these ladders float sums of the coefficients, term by term,
+    # overflow to nan or cancel in the Newton radicand (bound below zeta, or
+    # a nonpositive radicand); read exactly, each reports its exact copy
+    @pytest.mark.parametrize("number, n, x, eps", [
+        (float, 70, 3, 0),
+        (float, 102, 2, 0),
+        (float, 166, 2, 0),
+        (float, 200, 0.5, 0),
+        (float, 200, 2, 1e-5),
+        (mp.mpf, 70, 3, 0),
+    ])
+    def test_inexact_ladder_reports_its_binary_values(self, number, n, x, eps):
+        with mp.workprec(53):
+            ladder = build_eps_sis_ladder(n, number(x) / n, number(1), number(eps))
+        if eps == 0:
+            ladder = restrict_transient(ladder)
+        rep = decay_report(ladder)
+        assert rep.ordering_ok
+        assert mpmath.isfinite(rep.zeta_exact) and mpmath.isfinite(rep.zeta_newton_bound)
+        exact = decay_report(binary_copy(ladder))
+        assert rep.zeta_lagrange == exact.zeta_lagrange
+        assert all(type(v) is Fraction for v in rep.zeta_lagrange.values())
+        assert rep.zeta_exact == exact.zeta_exact
+        assert rep.zeta_newton_bound == exact.zeta_newton_bound
 
     @pytest.mark.parametrize("n", [4, 10, 25, 40])
     @pytest.mark.parametrize("x", [2, 3])

@@ -196,6 +196,32 @@ def test_exported_exceptions_are_raised():
     assert not unraised, f"exported exceptions nothing raises: {unraised}"
 
 
+def _isinstance_classes(tree):
+    """Source of the class argument of each isinstance call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            yield ast.unparse(node.args[1])
+
+
+def test_rates_have_one_reading():
+    # the coefficient, kernel and Sturm layers read each rate at its exact
+    # value through _numbers.to_fraction; a branch on float or mpf, or on a
+    # ladder-wide exactness flag, would be a second reading
+    trees = _package_trees()
+    branches = [f"{module}: isinstance(..., {cls})"
+                for module in ("charpoly.py", "decay.py", "oracle.py")
+                for cls in _isinstance_classes(trees[module])
+                if "float" in cls or "mpf" in cls]
+    assert not branches, f"arithmetic chosen by rate type: {branches}"
+    # cli's args.exact is the --exact output flag, not a ladder attribute
+    flags = [module for module, tree in trees.items() if module != "cli.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "exact"]
+    assert not flags, f"modules reading an attribute named exact: {flags}"
+    assert not hasattr(bdecay.RateLadder, "exact")
+
+
 QUICK_CHECK_NAMES = [
     "small-spectrum-exact", "bound-ordering", "steady-state-balance",
     "coefficient-cross-checks", "taylor-identities", "lifetime-four-way",

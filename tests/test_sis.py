@@ -465,6 +465,14 @@ class TestDecayRegime:
         assert isinstance(est.leading_estimate, mp.mpf)
         assert mp.nstr(est.leading_estimate, 5) == "8.1812e+395"
 
+    @pytest.mark.parametrize("x, exact", [(3.0, 3), (mp.mpf(3), 3), (2.7, Fraction(2.7))])
+    def test_binary_x_is_read_at_its_value(self, x, exact):
+        # in floats the lifetime recursion's x_j overflow at n = 2000, and
+        # 1/F would read 0
+        est = decay_regime(2000, x).leading_estimate
+        assert est > 0
+        assert est == decay_regime(2000, exact).leading_estimate
+
     def test_below_threshold_order_only(self):
         est = decay_regime(50, Fraction(1, 2), 1)
         assert est.regime == "below"
