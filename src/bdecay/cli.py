@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +22,8 @@ import mpmath
 from . import __version__
 from ._numbers import is_exact, to_float, to_mpf
 from .chain import restrict_transient
-from .decay import PrecisionCtx, decay_report, exact_zeta
+from .charpoly import char_coeffs
+from .decay import PrecisionCtx, decay_report, exact_zeta, lagrange_zeta
 from .errors import BdecayError, InvalidParameterError, PrecisionExhaustedError
 from .oracle import gillespie_simulate
 from .sis import (
@@ -50,7 +52,11 @@ def _fmt(value, exact: bool = False) -> str:
     if value is None:
         return ""
     if exact and is_exact(value):
-        return str(Fraction(value))
+        # str(int) refuses more than 4300 digits; a Decimal holds an int
+        # exactly and prints every digit
+        q = Fraction(value)
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
     normal = sys.float_info.min <= abs(value) <= sys.float_info.max
     # a float would overflow, underflow or lose digits
     out_of_range = is_exact(value) and value != 0 and not normal
@@ -131,22 +137,28 @@ def _meta_line(precision_bits, seed_policy="none") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _exact_lagrange(ladder) -> dict:
+    """Lagrange orders 1-3 from the exact characteristic coefficients, for
+    --exact: `decay_report`'s values are these rounded in its decimal pass.
+    """
+    coeffs = char_coeffs(ladder, kmax=min(3, ladder.embedded().n_states - 1))
+    return {order: lagrange_zeta(coeffs, order) for order in (1, 2, 3)}
+
+
 def cmd_decay(args) -> int:
     params = _params_from_args(args)
     ladder = params.ladder()
     if params.eps == 0:
         ladder = restrict_transient(ladder)
     report = decay_report(ladder, _precision_ctx(args))
+    lagrange = _exact_lagrange(ladder) if args.exact else report.zeta_lagrange
     if to_float(params.x) <= 1:
         print(
             "warning: x <= 1 (at or below threshold); the Lagrange series needs "
             "orders beyond 3 here, treat zeta_lagrange* as rough",
             file=sys.stderr,
         )
-    lag = {
-        order: (report.zeta_lagrange[order] if order <= args.order else None)
-        for order in (1, 2, 3)
-    }
+    lag = {order: (lagrange[order] if order <= args.order else None) for order in (1, 2, 3)}
     payload = {
         "n": params.n,
         "beta": _json_value(params.beta, args.exact),
@@ -229,7 +241,8 @@ def cmd_sweep(args) -> int:
                 if args.eps == 0:
                     ladder = restrict_transient(ladder)
                 report = decay_report(ladder, ctx)
-                l2, nb = report.zeta_lagrange[2], report.zeta_newton_bound
+                lagrange = _exact_lagrange(ladder) if args.exact else report.zeta_lagrange
+                l2, nb = lagrange[2], report.zeta_newton_bound
                 row.update(
                     zeta_exact=_fmt(report.zeta_exact),
                     zeta_lagrange2=_fmt(l2, args.exact),

@@ -35,6 +35,14 @@ iteration, and the exact Fraction solve of `oracle.hitting_time_solve`.  The
 bracket ends come back as mpf at `bits`, so `precision_bits` keeps its
 meaning in every output.  The Sturm referee in `oracle` stays on mpmath's
 binary arithmetic, so kernel and referee share no arithmetic library.
+
+`decay_report` makes one decimal pass per ladder: each rate becomes a
+Decimal once, and the kernel and the characteristic coefficients f_0..f_3
+(`charpoly`'s rows and Horner sums) both run on those Decimals; the Lagrange
+orders and the Newton bound follow in the same context.  The coefficient
+recursion never subtracts, so each f_k is within O(n) roundings of its exact
+value.  The exact route, `char_coeffs` with `lagrange_zeta` and
+`newton_bound`, referees it in the tests and gives `--exact` its values.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from decimal import (
     Overflow,
     localcontext,
 )
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp
@@ -59,7 +68,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from ._numbers import to_fraction, to_mpf
 from .chain import RateLadder
-from .charpoly import CharCoeffs, char_coeffs
+from .charpoly import CharCoeffs, _check_normaliser, _horner_sums
 from .errors import (
     InconsistentCoefficientsError,
     InsufficientCoefficientsError,
@@ -121,7 +130,8 @@ def lagrange_zeta(coeffs: CharCoeffs, order: int):
         order 2:  -f0/f1 - (f2/f1)(f0/f1)^2
         order 3:  ... + [-2 (f2/f1)^2 + f3/f1] (f0/f1)^3
 
-    Exact: a Fraction, as `char_coeffs` gives every ladder.
+    In the number type of the coefficients: a Fraction from `char_coeffs`,
+    a Decimal in the current context from `decay_report`'s Decimal ones.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -144,12 +154,21 @@ def lagrange_zeta(coeffs: CharCoeffs, order: int):
     return zeta
 
 
-def newton_bound(coeffs: CharCoeffs, mantissa_bits: int = 128):
+def newton_bound(coeffs: CharCoeffs, mantissa_bits: int):
     """Upper bound on the decay parameter from inverse-square power sums:
 
         zeta <= -(f0/f1) / sqrt(1 - (2 f2/f0)(f0/f1)^2)
 
     Returns an mpf (the square root is generally irrational).
+    """
+    r, radicand = _newton_terms(coeffs)
+    with mp.workprec(mantissa_bits):
+        return -to_mpf(r) / mp.sqrt(to_mpf(radicand))
+
+
+def _newton_terms(coeffs: CharCoeffs):
+    """(f0/f1, 1 - (2 f2/f0)(f0/f1)^2) of the Newton bound, in the number
+    type of the coefficients, the radicand checked positive.
     """
     f = coeffs.f
     if len(f) < 3 and coeffs.n >= 2:
@@ -161,8 +180,7 @@ def newton_bound(coeffs: CharCoeffs, mantissa_bits: int = 128):
         raise InconsistentCoefficientsError(
             "nonpositive radicand: coefficients cannot come from a real-spectrum ladder"
         )
-    with mp.workprec(mantissa_bits):
-        return -to_mpf(r) / mp.sqrt(to_mpf(radicand))
+    return r, radicand
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +427,55 @@ def _to_decimal(rate) -> Decimal:
     return Decimal(r.numerator) / Decimal(r.denominator)
 
 
-def _zeta_bracket(ladder: RateLadder, ctx: PrecisionCtx):
+def _decimal_to_mpf(d: Decimal, bits: int):
+    """d rounded once, to nearest, to an mpf at bits."""
+    return mp.make_mpf(from_rational(*d.as_integer_ratio(), bits, round_nearest))
+
+
+def _zeta_bracket(rates, down, up, bits: int):
     """Bracket [lo, hi] of -zeta, the smallest eigenvalue of M, as mpf at
-    ctx.mantissa_bits: the least over its irreducible blocks
-    (`_irreducible_blocks`).  Each rate becomes a Decimal once
-    (`_to_decimal`), and the kernel runs in `_decimal_context`.
+    bits: the least over its irreducible blocks (`_irreducible_blocks`).
+
+    `rates` are M's rates as the ladder holds them (`_m_matrix_rates`),
+    which seed the float prelude; `down` and `up` are the same rates, each
+    rounded once to a Decimal (`_to_decimal`), and the kernel runs on them
+    in the current context, `_decimal_context(bits)`.
     """
-    _decay_index(ladder)  # raises for a ladder with no decay parameter
-    rates = _m_matrix_rates(ladder)
-    blocks = _irreducible_blocks(*rates)
-    bits = ctx.mantissa_bits
-    with localcontext(_decimal_context(bits)):
-        down, up = [[_to_decimal(r) for r in rs] for rs in rates]
-        brackets = [
-            _perron_bracket(down[a:b], up[a:b], _float_start(rates[0][a:b], rates[1][a:b]), bits)
-            for a, b in blocks
-        ]
-    return tuple(
-        mp.make_mpf(from_rational(*end.as_integer_ratio(), bits, round_nearest))
-        for end in map(min, zip(*brackets))
-    )
+    brackets = [
+        _perron_bracket(down[a:b], up[a:b], _float_start(rates[0][a:b], rates[1][a:b]), bits)
+        for a, b in _irreducible_blocks(*rates)
+    ]
+    return tuple(_decimal_to_mpf(end, bits) for end in map(min, zip(*brackets)))
+
+
+def _decimal_coeffs(ladder: RateLadder, down, up, kmax: int) -> CharCoeffs:
+    """f_0..f_kmax from M's Decimal rates, in the current context: the rows
+    and Horner sums of `char_coeffs` on the embedded ladder's p and q, which
+    are M's rates in another order.  Each f_k is within O(n) roundings of
+    its exact value, as nothing is subtracted.
+    """
+    zero = 0 * down[0]
+    if ladder.is_subgenerator:  # down = loss0, q_2..q_N; up = p_1..p_{N-1}, 0
+        p, q = [zero, *up], [zero, *down]
+    else:  # the Siegmund dual: down = p_0..p_{N-1}, up = q_1..q_N
+        p, q = [*down, zero], [zero, *up]
+    norm = math.prod(q[1:])
+    f = tuple(t / norm for t in _horner_sums(p, q, kmax, Decimal(1)))
+    return CharCoeffs(f=f, n=len(p) - 1)
+
+
+def _decimal_estimates(coeffs: CharCoeffs, bits: int):
+    """(Lagrange orders 1-3, Newton bound) from Decimal coefficients, in the
+    current context: the formulas of `lagrange_zeta` and `newton_bound`,
+    with Decimal.sqrt.  Each Lagrange value is the exact Fraction of its
+    Decimal, and the bound an mpf at bits.
+
+    L2 <= L1 and newton <= L1 hold as computed: L2 is L1 less a
+    nonnegative term, the radicand is 1 less one, and rounding is monotone.
+    """
+    lag = {order: Fraction(lagrange_zeta(coeffs, order)) for order in (1, 2, 3)}
+    r, radicand = _newton_terms(coeffs)
+    return lag, _decimal_to_mpf(-r / radicand.sqrt(), bits)
 
 
 def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
@@ -447,13 +494,21 @@ def exact_zeta(ladder: RateLadder, ctx: PrecisionCtx | None = None):
     transient class with no exit).
     """
     ctx = ctx or PrecisionCtx()
-    lo, hi = _zeta_bracket(ladder, ctx)
-    with mp.workprec(ctx.mantissa_bits):
+    bits = ctx.mantissa_bits
+    _decay_index(ladder)  # raises for a ladder with no decay parameter
+    rates = _m_matrix_rates(ladder)
+    with localcontext(_decimal_context(bits)):
+        down, up = [[_to_decimal(r) for r in rs] for rs in rates]
+        lo, hi = _zeta_bracket(rates, down, up, bits)
+    with mp.workprec(bits):
         return -(lo + hi) / 2
 
 
 def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayReport:
     """Exact decay parameter plus Lagrange orders 1-3 and both bounds.
+
+    One decimal pass (module docstring): the kernel, f_0..f_3 and the
+    estimates all run on the same Decimal rates.
 
     Checks (and reports) the ordering zeta <= newton <= -f0/f1 < 0 and
     L2 <= L1.  zeta <= newton holds when the low end of zeta's bracket is
@@ -461,19 +516,23 @@ def decay_report(ladder: RateLadder, ctx: PrecisionCtx | None = None) -> DecayRe
     elimination over n rows moves the bracket ends, by 50 ulps at n = 2000.
     """
     ctx = ctx or PrecisionCtx()
-    coeffs = char_coeffs(ladder, kmax=min(3, _decay_index(ladder)))
-    lag = {order: lagrange_zeta(coeffs, order) for order in (1, 2, 3)}
-    nb = newton_bound(coeffs, mantissa_bits=ctx.mantissa_bits)
-    lo, hi = _zeta_bracket(ladder, ctx)
-    with mp.workprec(ctx.mantissa_bits):
+    bits = ctx.mantissa_bits
+    kmax = min(3, _decay_index(ladder))
+    _check_normaliser(ladder)
+    rates = _m_matrix_rates(ladder)
+    with localcontext(_decimal_context(bits)):
+        down, up = [[_to_decimal(r) for r in rs] for rs in rates]
+        lo, hi = _zeta_bracket(rates, down, up, bits)
+        lag, nb = _decimal_estimates(_decimal_coeffs(ladder, down, up, kmax), bits)
+    with mp.workprec(bits):
         zeta = -(lo + hi) / 2
         l1, l2 = to_mpf(lag[1]), to_mpf(lag[2])
-        slack = ladder.n_states * mpmath.ldexp(abs(zeta), 2 - ctx.mantissa_bits)
+        slack = ladder.n_states * mpmath.ldexp(abs(zeta), 2 - bits)
         ordering_ok = bool(-hi <= nb + slack and nb <= l1 and l1 < 0 and l2 <= l1)
     return DecayReport(
         zeta_exact=zeta,
         zeta_lagrange=lag,
         zeta_newton_bound=nb,
         ordering_ok=ordering_ok,
-        precision_bits=ctx.mantissa_bits,
+        precision_bits=bits,
     )

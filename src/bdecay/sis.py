@@ -119,7 +119,9 @@ def lifetime_direct(n: int, tau, delta=1):
     (binary splitting; Haible & Papanikolaou 1998), so the big products
     pair operands of equal size, and from v_1 = (1, 1, 0) the root gives
     F delta = (s + t)/r with r = n! b^n: one Fraction normalisation in all.
-    Float and mpf tau run the recursion as written, in a streaming loop.
+    A float delta divides it at its exact value, and the result is a float
+    where it lies within double range.  Float and mpf tau run the recursion
+    as written, in a streaming loop.
     """
     n = _node_count(n)
     tau, delta = as_number(tau), as_number(delta)
@@ -129,7 +131,8 @@ def lifetime_direct(n: int, tau, delta=1):
         _, _, r, s, t = _step_product(1, n + 1, n, tau.numerator, tau.denominator)
         if isinstance(delta, mp.mpf):
             return to_mpf(Fraction(s + t, r)) / delta
-        return Fraction(s + t, r) / delta
+        f = Fraction(s + t, r) / to_fraction(delta)
+        return float(f) if isinstance(delta, float) and f <= sys.float_info.max else f
     x = tau * 0 + 1
     total = tau * 0
     for j in range(1, n + 1):

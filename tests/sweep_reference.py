@@ -5,7 +5,9 @@ when ζ is good to well beyond 17 digits, so the reference takes ζ from the
 Sturm referee (`oracle.sturm_zeta`, independent of the Perron kernel) at four
 times the sweep's working bits, rounds it to the working bits, and forms both
 relative errors as `DecayReport.relative_error` does.  The estimates come
-from the exact characteristic coefficients, as in `decay_report`.
+from the exact characteristic coefficients; `decay_report` computes the same
+formulas in its decimal pass, which can move a cell only at the rounding
+floor of the working bits.
 
     python tests/sweep_reference.py tests/data/sweep_eps1e-5.csv --eps 1e-5
 

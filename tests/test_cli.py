@@ -16,7 +16,9 @@ from hypothesis import given, settings
 
 from bdecay import (
     build_eps_sis_ladder,
+    char_coeffs,
     exact_zeta,
+    lagrange_zeta,
     lifetime_direct,
     restrict_transient,
 )
@@ -30,6 +32,16 @@ def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "bdecay.cli", *args], capture_output=True, text=True
     )
+
+
+def parse_exact(text: str) -> Fraction:
+    """An --exact field "p/q" or "p" as a Fraction.  Fraction(text) would
+    convert p and q by int(str), which refuses more than 4300 digits, so
+    they are read through Decimal, which holds any int exactly.
+    """
+    num, _, den = text.partition("/")
+    assert num.lstrip("-").isdigit() and (den == "" or den.isdigit()), text[:40]
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
 
 
 class TestDecayCommand:
@@ -82,6 +94,29 @@ class TestDecayCommand:
         assert rc == 0
         assert out["zeta_lagrange2"] == "-9/16"
 
+
+    def test_exact_values_past_the_digit_limit(self, capsys):
+        # the exact Lagrange values at n = 1000 run to more than 4300 digits
+        rc = main(["decay", "--n", "1000", "--x", "3", "--exact"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        sub = restrict_transient(build_eps_sis_ladder(1000, Fraction(3, 1000), 1, 0))
+        coeffs = char_coeffs(sub, kmax=3)
+        for order in (1, 2, 3):
+            value = parse_exact(out[f"zeta_lagrange{order}"])
+            assert value == lagrange_zeta(coeffs, order)
+            assert float(value) == pytest.approx(out["zeta_exact"], rel=1e-15)
+
+    def test_ten_thousand_nodes(self, capsys):
+        # above threshold every estimate agrees with zeta ~ -6.45e-1875 to
+        # the 17 digits printed
+        rc = main(["decay", "--n", "10000", "--x", "3"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        for key in ("zeta_exact", "zeta_lagrange1", "zeta_lagrange2", "zeta_lagrange3",
+                    "zeta_newton"):
+            assert out[key] == "-6.4532552321648151e-1875", key
+        assert out["bound_ordering_ok"] is True
 
     def test_lagrange_stays_above_zeta_below_double_range(self, capsys):
         # zeta ~ -4.89e-562: L1 > zeta exactly, and must print so; a 53-bit
@@ -274,6 +309,14 @@ class TestLifetimeCommand:
         assert out["f_taylor"] is None
         assert out["f_expint"] is None
 
+    def test_exact_lifetime_past_the_digit_limit(self, capsys):
+        rc = main(["lifetime", "--n", "2000", "--x", "2", "--exact"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        exact = lifetime_direct(2000, Fraction(2, 2000))
+        assert parse_exact(out["f_direct"]) == parse_exact(out["e_t"]) == exact
+        assert len(out["f_direct"]) > 4300
+
     def test_nonzero_eps_rejected(self):
         proc = run_cli(["lifetime", "--n", "3", "--tau", "1", "--eps", "0.5"])
         assert proc.returncode == 2
@@ -376,13 +419,13 @@ class TestValidateCommand:
         assert {"zeta-lifetime-product", "gillespie-mean"} <= names
 
     def test_injected_fault_names_bound_ordering(self, monkeypatch, capsys):
-        char_coeffs = decay.char_coeffs
+        decimal_coeffs = decay._decimal_coeffs
 
-        def f2_sign_flipped(ladder, kmax=None):
-            coeffs = char_coeffs(ladder, kmax)
+        def f2_sign_flipped(*args):
+            coeffs = decimal_coeffs(*args)
             return replace(coeffs, f=coeffs.f[:2] + (-coeffs.f[2],) + coeffs.f[3:])
 
-        monkeypatch.setattr(decay, "char_coeffs", f2_sign_flipped)
+        monkeypatch.setattr(decay, "_decimal_coeffs", f2_sign_flipped)
         rc = main(["validate", "--level", "quick"])
         captured = capsys.readouterr()
         assert rc == 1

@@ -29,7 +29,7 @@ from bdecay import (
     restrict_transient,
 )
 from bdecay import decay
-from bdecay._numbers import to_mpf
+from bdecay._numbers import to_fraction, to_mpf
 from bdecay.oracle import dense_spectrum, sturm_tol, sturm_zeta
 from conftest import binary_copy, rational_ladders, rational_subgenerators
 
@@ -68,10 +68,10 @@ class TestNewtonBound:
     def test_vanishing_second_coefficient_reduces_to_first_bound(self):
         sub = restrict_transient(build_eps_sis_ladder(1, 1, 1, 0))
         coeffs = char_coeffs(sub)
-        assert float(newton_bound(coeffs)) == -1.0
+        assert float(newton_bound(coeffs, 128)) == -1.0
 
     def test_two_node_value(self):
-        nb = newton_bound(two_node_coeffs())
+        nb = newton_bound(two_node_coeffs(), 128)
         assert abs(float(nb) + 1 / math.sqrt(3)) < 1e-15
         assert -(2 - math.sqrt(2)) <= float(nb)
 
@@ -79,7 +79,7 @@ class TestNewtonBound:
         coeffs = two_node_coeffs()
         broken = replace(coeffs, f=(coeffs.f[0], coeffs.f[1], Fraction(50)))
         with pytest.raises(InconsistentCoefficientsError):
-            newton_bound(broken)
+            newton_bound(broken, 128)
 
 
 class TestExactZeta:
@@ -450,8 +450,28 @@ class TestDecayReport:
         z = exact_zeta(sub)
         with mp.workprec(128):
             below = z - mpmath.ldexp(abs(z), -40)
-        monkeypatch.setattr(decay, "newton_bound", lambda coeffs, mantissa_bits: below)
+        estimates = decay._decimal_estimates
+        monkeypatch.setattr(
+            decay, "_decimal_estimates", lambda coeffs, bits: (estimates(coeffs, bits)[0], below)
+        )
         assert not decay_report(sub).ordering_ok
+
+    @pytest.mark.parametrize("bits", [128, 730])
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(rational_ladders(min_states=3, max_states=40),
+                     rational_subgenerators(min_states=3, max_states=40)))
+    def test_decimal_estimates_track_the_exact_route(self, bits, ladder):
+        # the Lagrange orders and the Newton bound come from Decimal
+        # coefficients, within O(n) roundings of the exact ones
+        rep = decay_report(ladder, PrecisionCtx(mantissa_bits=bits))
+        coeffs = char_coeffs(ladder, kmax=min(3, ladder.embedded().n_states - 1))
+        tol = Fraction(ladder.n_states, 2 ** (bits - 8))
+        for order in (1, 2, 3):
+            exact = lagrange_zeta(coeffs, order)
+            assert abs(rep.zeta_lagrange[order] - exact) <= tol * abs(exact), order
+        exact = to_fraction(newton_bound(coeffs, bits))
+        assert abs(to_fraction(rep.zeta_newton_bound) - exact) <= tol * abs(exact)
+        assert rep.ordering_ok
 
     # on these ladders float sums of the coefficients, term by term,
     # overflow to nan or cancel in the Newton radicand (bound below zeta, or

@@ -473,6 +473,16 @@ class TestDecayRegime:
         assert est > 0
         assert est == decay_regime(2000, exact).leading_estimate
 
+    @pytest.mark.parametrize(
+        "delta, exact", [(1.0, 1), (0.75, Fraction(3, 4)), (mp.mpf(1), 1)]
+    )
+    def test_binary_delta_is_read_at_its_value(self, delta, exact):
+        # F at n = 2000, x = 3 is beyond double range, so F / delta cannot
+        # pass through a float
+        est = decay_regime(2000, 3, delta)
+        assert est == decay_regime(2000, 3, exact)
+        assert est.leading_estimate > 0
+
     def test_below_threshold_order_only(self):
         est = decay_regime(50, Fraction(1, 2), 1)
         assert est.regime == "below"
